@@ -12,8 +12,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q"
+# Every workspace member's unit and integration tests, not just the
+# root package's.
+cargo test --workspace -q
 
 echo "==> fault-injection suite (NaN rollback, kill+resume, corrupt checkpoints)"
 # Every recovery path of the training runner, driven by the

@@ -1,5 +1,5 @@
-//! Grad-free compiled inference: a plan/executor split over the
-//! shape-only `declare` lowering.
+//! Grad-free compiled inference: the per-sample executor over the
+//! shared declare lowering.
 //!
 //! Evaluation paths (tables, figures, defense sweeps, mAP, the
 //! confirm-window video loop) run the detector thousands of times with
@@ -8,14 +8,12 @@
 //! This module removes that overhead without touching the kernels'
 //! arithmetic:
 //!
-//! - [`InferPlan::compile`] walks a metadata-only tape built with
-//!   [`Graph::declare`] and lowers it into a flat, topologically
-//!   ordered list of ops, fusing `conv2d → batch_norm2d_eval →
-//!   leaky_relu | relu` (and `conv2d → add_bias_channel (→
-//!   leaky_relu)`) chains into single kernels. Parameters are referenced by
-//!   [`ParamId`] (carried on the declare nodes as `pid` attrs), so a
-//!   compiled plan survives weight updates — values are read fresh from
-//!   the [`ParamSet`] at execution time.
+//! - [`InferPlan::compile`] lowers a metadata-only tape built with
+//!   [`Graph::declare`] through `crate::lower`, the one lowering both
+//!   compiled engines share, with the infer target: fused
+//!   `conv2d → [bias | batch_norm2d_eval] → [leaky_relu | relu]` ops
+//!   plus pool, upsample, concat, activation and linear ops. The plan
+//!   adds only the executor's im2col buffer size.
 //! - [`InferExec`] owns arena-backed activation buffers (one set per
 //!   worker group) and runs the plan over batched NCHW input, fanning
 //!   samples out across [`crate::parallel`]'s worker pool.
@@ -53,169 +51,21 @@ use std::sync::Mutex;
 use crate::arena;
 use crate::conv::{conv_gemm, im2col};
 use crate::graph::{Graph, VarId};
+use crate::lower::{lower, Lowered, OpKind};
 use crate::parallel;
-use crate::params::{ParamId, ParamSet};
-use crate::plan_meta::{
-    simple_op, ConvGeom, ParamRef, ParamRole, PlanKind, PlanMeta, PlanOpMeta, SlotMeta,
-};
+use crate::params::ParamSet;
+use crate::plan_meta::{ConvGeom, PlanKind, PlanMeta};
 use crate::profile;
 use crate::runtime::{self, Runtime};
 use crate::simd;
 use crate::tensor::{matmul_into, Tensor};
 use crate::tier::{self, Tier};
 
-/// Batch-norm parameters folded per-channel at execution time:
-/// `scale = gamma / sqrt(rvar + eps)`, `shift = beta - rmean * scale`.
-#[derive(Debug, Clone)]
-struct BnFold {
-    gamma: ParamId,
-    beta: ParamId,
-    rmean: ParamId,
-    rvar: ParamId,
-    eps: f32,
-}
-
-/// The fused activation a conv op carries, as a fast-tier epilogue tag.
-fn conv_act(c: &ConvOp) -> simd::Act {
-    if let Some(alpha) = c.leaky {
-        simd::Act::Leaky(alpha)
-    } else if c.relu {
-        simd::Act::Relu
-    } else {
-        simd::Act::None
-    }
-}
-
-/// One (possibly fused) convolution: conv + optional bias + optional
-/// eval batch-norm + optional leaky activation.
-#[derive(Debug, Clone)]
-struct ConvOp {
-    x: usize,
-    out: usize,
-    w: ParamId,
-    bias: Option<ParamId>,
-    bn: Option<BnFold>,
-    leaky: Option<f32>,
-    relu: bool,
-    stride: usize,
-    pad: usize,
-    cin: usize,
-    hin: usize,
-    win: usize,
-    cout: usize,
-    kh: usize,
-    kw: usize,
-    ho: usize,
-    wo: usize,
-    scope: String,
-}
-
-impl ConvOp {
-    fn fused_name(&self) -> String {
-        let mut name = String::from("conv");
-        if self.bias.is_some() {
-            name.push_str("_bias");
-        }
-        if self.bn.is_some() {
-            name.push_str("_bn");
-        }
-        if self.leaky.is_some() {
-            name.push_str("_leaky");
-        }
-        if self.relu {
-            name.push_str("_relu");
-        }
-        name
-    }
-}
-
-/// Executable op kinds. Slot indices refer to per-sample activation
-/// buffers in a [`GroupBufs`].
-#[derive(Debug, Clone)]
-enum OpKind {
-    Conv(ConvOp),
-    MaxPool {
-        x: usize,
-        out: usize,
-        k: usize,
-        stride: usize,
-        c: usize,
-        h: usize,
-        w: usize,
-        ho: usize,
-        wo: usize,
-    },
-    Upsample2x {
-        x: usize,
-        out: usize,
-        c: usize,
-        h: usize,
-        w: usize,
-    },
-    Concat {
-        a: usize,
-        b: usize,
-        out: usize,
-        ca: usize,
-        cb: usize,
-        hw: usize,
-    },
-    Leaky {
-        x: usize,
-        out: usize,
-        alpha: f32,
-        len: usize,
-    },
-    Relu {
-        x: usize,
-        out: usize,
-        len: usize,
-    },
-    Sigmoid {
-        x: usize,
-        out: usize,
-        len: usize,
-    },
-    Linear {
-        x: usize,
-        out: usize,
-        w: ParamId,
-        b: ParamId,
-        in_dim: usize,
-        out_dim: usize,
-    },
-}
-
-#[derive(Debug, Clone)]
-struct PlanOp {
-    kind: OpKind,
-    /// Profile key (`infer/<scope>/<fused-op>`).
-    path: String,
-}
-
-/// How a tape node maps into the plan while compiling.
-#[derive(Debug, Clone, Copy)]
-enum NodeRef {
-    /// A `param` declare; carries the id resolved from its `pid` attr.
-    Param(ParamId),
-    /// A value-producing node; carries its activation slot.
-    Slot(usize),
-}
-
-/// A compiled, grad-free execution plan: a flat topologically ordered
-/// op list plus per-slot activation shapes, derived from a shape-only
-/// [`Graph::declare`] lowering at batch 1.
+/// A compiled, grad-free execution plan: the shared lowering of a
+/// [`Graph::declare`] tape at batch 1, run one sample at a time.
 #[derive(Debug)]
 pub struct InferPlan {
-    ops: Vec<PlanOp>,
-    /// Per-sample flat length of each activation slot.
-    slot_lens: Vec<usize>,
-    /// Per-sample shape of each activation slot (batch dim stripped).
-    slot_shapes: Vec<Vec<usize>>,
-    input_slot: usize,
-    /// Per-sample input shape (batch dim stripped).
-    input_shape: Vec<usize>,
-    outputs: Vec<usize>,
+    ir: Lowered,
     /// Largest im2col column buffer any conv in the plan needs.
     max_cols: usize,
 }
@@ -224,401 +74,35 @@ impl InferPlan {
     /// Compiles a declare-lowered tape (built at batch 1) into a plan
     /// producing the values of `roots`, in order.
     ///
-    /// Fusion is peephole over the tape order: a `batch_norm2d_eval`,
-    /// `add_bias_channel` or `leaky_relu` node folds into the
-    /// immediately preceding conv when that conv is its input — which
-    /// in a declare lowering implies the intermediate value has no
-    /// other consumer.
-    ///
     /// # Errors
     ///
-    /// Returns a message naming the offending node when the tape
-    /// contains an op the executor does not support, is missing the
-    /// `pid`/`eps_bits`/`alpha_bits` attrs the lowering must carry, or
-    /// was not declared at batch 1.
+    /// Returns a message naming the offending node when the lowering
+    /// rejects the tape: an op the executor does not support (including
+    /// `batch_norm2d_train`), a missing `pid`/`eps_bits`/`alpha_bits`
+    /// attr, a slot or weight of the wrong rank, or a tape not declared
+    /// at batch 1.
     pub fn compile(g: &Graph, roots: &[VarId]) -> Result<InferPlan, String> {
-        let metas = g.metas();
-        let mut refs: Vec<Option<NodeRef>> = vec![None; metas.len()];
-        let mut ops: Vec<PlanOp> = Vec::new();
-        let mut slot_lens: Vec<usize> = Vec::new();
-        let mut slot_shapes: Vec<Vec<usize>> = Vec::new();
-        let mut input: Option<usize> = None;
-        let mut max_cols = 0usize;
-
-        fn new_slot(
-            lens: &mut Vec<usize>,
-            shapes: &mut Vec<Vec<usize>>,
-            shape: &[usize],
-            path: &str,
-        ) -> Result<usize, String> {
-            if shape.first() != Some(&1) {
-                return Err(format!(
-                    "infer compile at {path}: plans must be declared at batch 1, got {shape:?}"
-                ));
-            }
-            let per: Vec<usize> = shape[1..].to_vec();
-            lens.push(per.iter().product());
-            shapes.push(per);
-            Ok(shapes.len() - 1)
-        }
-
-        for (idx, meta) in metas.iter().enumerate() {
-            let fail = |msg: String| Err(format!("infer compile at {}: {msg}", meta.path()));
-            let slot_of = |refs: &[Option<NodeRef>], pi: usize| -> Result<usize, String> {
-                match refs[meta.parents[pi].index()] {
-                    Some(NodeRef::Slot(s)) => Ok(s),
-                    _ => Err(format!(
-                        "infer compile at {}: parent {pi} is not a value node",
-                        meta.path()
-                    )),
-                }
-            };
-            let param_of = |refs: &[Option<NodeRef>], pi: usize| -> Result<ParamId, String> {
-                match refs[meta.parents[pi].index()] {
-                    Some(NodeRef::Param(p)) => Ok(p),
-                    _ => Err(format!(
-                        "infer compile at {}: parent {pi} is not a param node",
-                        meta.path()
-                    )),
-                }
-            };
-            let attr = |name: &str| -> Result<usize, String> {
-                meta.attr(name).ok_or(format!(
-                    "infer compile at {}: missing '{name}' attr",
-                    meta.path()
-                ))
-            };
-
-            match meta.op {
-                "input" => {
-                    if input.is_some() {
-                        return fail("plan supports a single input".into());
-                    }
-                    let s = new_slot(
-                        &mut slot_lens,
-                        &mut slot_shapes,
-                        &meta.expected_shape,
-                        &meta.path(),
-                    )?;
-                    input = Some(s);
-                    refs[idx] = Some(NodeRef::Slot(s));
-                }
-                "param" => {
-                    refs[idx] = Some(NodeRef::Param(ParamId(attr("pid")?)));
-                }
-                "conv2d" => {
-                    let x = slot_of(&refs, 0)?;
-                    let w = param_of(&refs, 1)?;
-                    let ws = &metas[meta.parents[1].index()].expected_shape;
-                    let (cin, hin, win) = {
-                        let xs = &slot_shapes[x];
-                        (xs[0], xs[1], xs[2])
-                    };
-                    let (cout, kh, kw) = (ws[0], ws[2], ws[3]);
-                    let out = new_slot(
-                        &mut slot_lens,
-                        &mut slot_shapes,
-                        &meta.expected_shape,
-                        &meta.path(),
-                    )?;
-                    let (ho, wo) = (slot_shapes[out][1], slot_shapes[out][2]);
-                    max_cols = max_cols.max(cin * kh * kw * ho * wo);
-                    ops.push(PlanOp {
-                        kind: OpKind::Conv(ConvOp {
-                            x,
-                            out,
-                            w,
-                            bias: None,
-                            bn: None,
-                            leaky: None,
-                            relu: false,
-                            stride: attr("stride")?,
-                            pad: attr("pad")?,
-                            cin,
-                            hin,
-                            win,
-                            cout,
-                            kh,
-                            kw,
-                            ho,
-                            wo,
-                            scope: meta.scope.clone(),
-                        }),
-                        path: String::new(),
-                    });
-                    refs[idx] = Some(NodeRef::Slot(out));
-                }
-                "add_bias_channel" => {
-                    let y = slot_of(&refs, 0)?;
-                    let b = param_of(&refs, 1)?;
-                    match ops.last_mut().map(|o| &mut o.kind) {
-                        Some(OpKind::Conv(c))
-                            if c.out == y
-                                && c.bias.is_none()
-                                && c.bn.is_none()
-                                && c.leaky.is_none()
-                                && !c.relu =>
-                        {
-                            c.bias = Some(b);
-                            refs[idx] = Some(NodeRef::Slot(y));
-                        }
-                        _ => return fail("add_bias_channel must directly follow its conv".into()),
-                    }
-                }
-                "batch_norm2d_eval" => {
-                    let y = slot_of(&refs, 0)?;
-                    let gamma = param_of(&refs, 1)?;
-                    let beta = param_of(&refs, 2)?;
-                    let fold = BnFold {
-                        gamma,
-                        beta,
-                        rmean: ParamId(attr("rmean_pid")?),
-                        rvar: ParamId(attr("rvar_pid")?),
-                        eps: f32::from_bits(attr("eps_bits")? as u32),
-                    };
-                    match ops.last_mut().map(|o| &mut o.kind) {
-                        Some(OpKind::Conv(c))
-                            if c.out == y
-                                && c.bias.is_none()
-                                && c.bn.is_none()
-                                && c.leaky.is_none()
-                                && !c.relu =>
-                        {
-                            c.bn = Some(fold);
-                            refs[idx] = Some(NodeRef::Slot(y));
-                        }
-                        _ => return fail("batch_norm2d_eval must directly follow its conv".into()),
-                    }
-                }
-                "leaky_relu" => {
-                    let x = slot_of(&refs, 0)?;
-                    let alpha = f32::from_bits(attr("alpha_bits")? as u32);
-                    match ops.last_mut().map(|o| &mut o.kind) {
-                        Some(OpKind::Conv(c)) if c.out == x && c.leaky.is_none() && !c.relu => {
-                            c.leaky = Some(alpha);
-                            refs[idx] = Some(NodeRef::Slot(x));
-                        }
-                        _ => {
-                            let out = new_slot(
-                                &mut slot_lens,
-                                &mut slot_shapes,
-                                &meta.expected_shape,
-                                &meta.path(),
-                            )?;
-                            let len = slot_lens[out];
-                            ops.push(PlanOp {
-                                kind: OpKind::Leaky { x, out, alpha, len },
-                                path: format!("infer/{}", meta.path()),
-                            });
-                            refs[idx] = Some(NodeRef::Slot(out));
-                        }
-                    }
-                }
-                "relu" => {
-                    let x = slot_of(&refs, 0)?;
-                    match ops.last_mut().map(|o| &mut o.kind) {
-                        Some(OpKind::Conv(c)) if c.out == x && c.leaky.is_none() && !c.relu => {
-                            c.relu = true;
-                            refs[idx] = Some(NodeRef::Slot(x));
-                        }
-                        _ => {
-                            let out = new_slot(
-                                &mut slot_lens,
-                                &mut slot_shapes,
-                                &meta.expected_shape,
-                                &meta.path(),
-                            )?;
-                            let len = slot_lens[out];
-                            ops.push(PlanOp {
-                                kind: OpKind::Relu { x, out, len },
-                                path: format!("infer/{}", meta.path()),
-                            });
-                            refs[idx] = Some(NodeRef::Slot(out));
-                        }
-                    }
-                }
-                "sigmoid" => {
-                    let x = slot_of(&refs, 0)?;
-                    let out = new_slot(
-                        &mut slot_lens,
-                        &mut slot_shapes,
-                        &meta.expected_shape,
-                        &meta.path(),
-                    )?;
-                    let len = slot_lens[out];
-                    ops.push(PlanOp {
-                        kind: OpKind::Sigmoid { x, out, len },
-                        path: format!("infer/{}", meta.path()),
-                    });
-                    refs[idx] = Some(NodeRef::Slot(out));
-                }
-                "max_pool2d" => {
-                    let x = slot_of(&refs, 0)?;
-                    let xs = slot_shapes[x].clone();
-                    let out = new_slot(
-                        &mut slot_lens,
-                        &mut slot_shapes,
-                        &meta.expected_shape,
-                        &meta.path(),
-                    )?;
-                    ops.push(PlanOp {
-                        kind: OpKind::MaxPool {
-                            x,
-                            out,
-                            k: attr("k")?,
-                            stride: attr("stride")?,
-                            c: xs[0],
-                            h: xs[1],
-                            w: xs[2],
-                            ho: slot_shapes[out][1],
-                            wo: slot_shapes[out][2],
-                        },
-                        path: format!("infer/{}", meta.path()),
-                    });
-                    refs[idx] = Some(NodeRef::Slot(out));
-                }
-                "upsample_nearest2x" => {
-                    let x = slot_of(&refs, 0)?;
-                    let xs = slot_shapes[x].clone();
-                    let out = new_slot(
-                        &mut slot_lens,
-                        &mut slot_shapes,
-                        &meta.expected_shape,
-                        &meta.path(),
-                    )?;
-                    ops.push(PlanOp {
-                        kind: OpKind::Upsample2x {
-                            x,
-                            out,
-                            c: xs[0],
-                            h: xs[1],
-                            w: xs[2],
-                        },
-                        path: format!("infer/{}", meta.path()),
-                    });
-                    refs[idx] = Some(NodeRef::Slot(out));
-                }
-                "concat_channels" => {
-                    let a = slot_of(&refs, 0)?;
-                    let b = slot_of(&refs, 1)?;
-                    let (asl, bsl) = (slot_shapes[a].clone(), slot_shapes[b].clone());
-                    if asl[1..] != bsl[1..] {
-                        return fail(format!("concat spatial mismatch {asl:?} vs {bsl:?}"));
-                    }
-                    let out = new_slot(
-                        &mut slot_lens,
-                        &mut slot_shapes,
-                        &meta.expected_shape,
-                        &meta.path(),
-                    )?;
-                    ops.push(PlanOp {
-                        kind: OpKind::Concat {
-                            a,
-                            b,
-                            out,
-                            ca: asl[0],
-                            cb: bsl[0],
-                            hw: asl[1] * asl[2],
-                        },
-                        path: format!("infer/{}", meta.path()),
-                    });
-                    refs[idx] = Some(NodeRef::Slot(out));
-                }
-                "reshape" => {
-                    // flat per-sample data is unchanged; alias the slot,
-                    // re-labelling it with the post-reshape dims so
-                    // shape-sensitive consumers (conv, upsample, pool)
-                    // see the reshaped geometry
-                    let x = slot_of(&refs, 0)?;
-                    if meta.expected_shape.first() != Some(&1) {
-                        return fail(format!(
-                            "plans must be declared at batch 1, got {:?}",
-                            meta.expected_shape
-                        ));
-                    }
-                    let len: usize = meta.expected_shape[1..].iter().product();
-                    if len != slot_lens[x] {
-                        return fail(format!(
-                            "reshape changes per-sample length {} -> {len}",
-                            slot_lens[x]
-                        ));
-                    }
-                    slot_shapes[x] = meta.expected_shape[1..].to_vec();
-                    refs[idx] = Some(NodeRef::Slot(x));
-                }
-                "linear" => {
-                    let x = slot_of(&refs, 0)?;
-                    let w = param_of(&refs, 1)?;
-                    let b = param_of(&refs, 2)?;
-                    let ws = &metas[meta.parents[1].index()].expected_shape;
-                    let (out_dim, in_dim) = (ws[0], ws[1]);
-                    if slot_lens[x] != in_dim {
-                        return fail(format!(
-                            "linear input length {} != weight columns {in_dim}",
-                            slot_lens[x]
-                        ));
-                    }
-                    let out = new_slot(
-                        &mut slot_lens,
-                        &mut slot_shapes,
-                        &meta.expected_shape,
-                        &meta.path(),
-                    )?;
-                    ops.push(PlanOp {
-                        kind: OpKind::Linear {
-                            x,
-                            out,
-                            w,
-                            b,
-                            in_dim,
-                            out_dim,
-                        },
-                        path: format!("infer/{}", meta.path()),
-                    });
-                    refs[idx] = Some(NodeRef::Slot(out));
-                }
-                other => return fail(format!("unsupported op '{other}'")),
-            }
-        }
-
-        // finalize fused conv profile paths now fusion state is known
-        for op in &mut ops {
-            if let OpKind::Conv(c) = &op.kind {
-                op.path = if c.scope.is_empty() {
-                    format!("infer/{}", c.fused_name())
-                } else {
-                    format!("infer/{}/{}", c.scope, c.fused_name())
-                };
-            }
-        }
-
-        let input_slot = input.ok_or("infer compile: tape has no input node".to_string())?;
-        let mut outputs = Vec::with_capacity(roots.len());
-        for &r in roots {
-            match refs[r.index()] {
-                Some(NodeRef::Slot(s)) => outputs.push(s),
-                _ => return Err(format!("infer compile: root {} is not a value", r.index())),
-            }
-        }
-        Ok(InferPlan {
-            ops,
-            input_shape: slot_shapes[input_slot].clone(),
-            slot_lens,
-            slot_shapes,
-            input_slot,
-            outputs,
-            max_cols,
-        })
+        let ir = lower(g, roots, PlanKind::Infer)?;
+        let max_cols = ir
+            .ops
+            .iter()
+            .filter_map(|op| match &op.kind {
+                OpKind::Conv(c) => Some(c.geom.cols_len()),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
+        Ok(InferPlan { ir, max_cols })
     }
 
     /// Number of (fused) ops in the plan.
     pub fn num_ops(&self) -> usize {
-        self.ops.len()
+        self.ir.ops.len()
     }
 
     /// Per-sample input shape (batch dimension stripped).
     pub fn input_shape(&self) -> &[usize] {
-        &self.input_shape
+        self.ir.input_shape()
     }
 
     /// Lifts the plan into a plain-data [`PlanMeta`] description (op
@@ -626,124 +110,7 @@ impl InferPlan {
     /// composition, conv geometry) for static analysis. Nothing is
     /// executed; the returned value owns all its data.
     pub fn meta(&self) -> PlanMeta {
-        let ops = self
-            .ops
-            .iter()
-            .map(|op| match &op.kind {
-                OpKind::Conv(c) => {
-                    let mut params = vec![ParamRef {
-                        role: ParamRole::ConvWeight,
-                        index: c.w.index(),
-                    }];
-                    let mut fused = vec!["conv2d".to_string()];
-                    if let Some(b) = c.bias {
-                        params.push(ParamRef {
-                            role: ParamRole::ConvBias,
-                            index: b.index(),
-                        });
-                        fused.push("add_bias_channel".to_string());
-                    }
-                    let mut bn_eps = None;
-                    if let Some(bn) = &c.bn {
-                        for (role, pid) in [
-                            (ParamRole::BnGamma, bn.gamma),
-                            (ParamRole::BnBeta, bn.beta),
-                            (ParamRole::BnRunningMean, bn.rmean),
-                            (ParamRole::BnRunningVar, bn.rvar),
-                        ] {
-                            params.push(ParamRef {
-                                role,
-                                index: pid.index(),
-                            });
-                        }
-                        fused.push("batch_norm2d_eval".to_string());
-                        bn_eps = Some(bn.eps);
-                    }
-                    if c.leaky.is_some() {
-                        fused.push("leaky_relu".to_string());
-                    }
-                    if c.relu {
-                        fused.push("relu".to_string());
-                    }
-                    PlanOpMeta {
-                        name: c.fused_name(),
-                        path: op.path.clone(),
-                        reads: vec![c.x],
-                        writes: vec![c.out],
-                        params,
-                        fused,
-                        conv: Some(ConvGeom {
-                            stride: c.stride,
-                            pad: c.pad,
-                            cin: c.cin,
-                            hin: c.hin,
-                            win: c.win,
-                            cout: c.cout,
-                            kh: c.kh,
-                            kw: c.kw,
-                            ho: c.ho,
-                            wo: c.wo,
-                        }),
-                        linear: None,
-                        alpha: c.leaky,
-                        bn_train: c.bn.as_ref().map(|_| false),
-                        bn_eps,
-                        gx_direct: None,
-                    }
-                }
-                OpKind::MaxPool { x, out, .. } => simple_op("max_pool2d", &op.path, *x, *out),
-                OpKind::Upsample2x { x, out, .. } => {
-                    simple_op("upsample_nearest2x", &op.path, *x, *out)
-                }
-                OpKind::Concat { a, b, out, .. } => PlanOpMeta {
-                    reads: vec![*a, *b],
-                    ..simple_op("concat_channels", &op.path, *a, *out)
-                },
-                OpKind::Leaky { x, out, alpha, .. } => PlanOpMeta {
-                    alpha: Some(*alpha),
-                    ..simple_op("leaky_relu", &op.path, *x, *out)
-                },
-                OpKind::Relu { x, out, .. } => simple_op("relu", &op.path, *x, *out),
-                OpKind::Sigmoid { x, out, .. } => simple_op("sigmoid", &op.path, *x, *out),
-                OpKind::Linear {
-                    x,
-                    out,
-                    w,
-                    b,
-                    in_dim,
-                    out_dim,
-                } => PlanOpMeta {
-                    params: vec![
-                        ParamRef {
-                            role: ParamRole::LinearWeight,
-                            index: w.index(),
-                        },
-                        ParamRef {
-                            role: ParamRole::LinearBias,
-                            index: b.index(),
-                        },
-                    ],
-                    linear: Some((*in_dim, *out_dim)),
-                    ..simple_op("linear", &op.path, *x, *out)
-                },
-            })
-            .collect();
-        PlanMeta {
-            kind: PlanKind::Infer,
-            ops,
-            slots: self
-                .slot_lens
-                .iter()
-                .zip(&self.slot_shapes)
-                .map(|(&len, shape)| SlotMeta {
-                    len,
-                    shape: shape.clone(),
-                })
-                .collect(),
-            input_slot: self.input_slot,
-            outputs: self.outputs.clone(),
-            col_budget: None,
-        }
+        self.ir.meta(None, None)
     }
 
     /// One-shot convenience: build an executor, run it, drop it.
@@ -765,49 +132,48 @@ impl InferPlan {
         bufs: &mut GroupBufs,
         fast: bool,
     ) {
-        for (oi, op) in self.ops.iter().enumerate() {
+        for (oi, op) in self.ir.ops.iter().enumerate() {
             let t0 = profile::enabled().then(std::time::Instant::now);
             match &op.kind {
                 OpKind::Conv(c) => {
+                    let ConvGeom {
+                        stride,
+                        pad,
+                        cin,
+                        hin,
+                        win,
+                        cout,
+                        kh,
+                        kw,
+                        ho,
+                        wo,
+                    } = c.geom;
                     let mut out = std::mem::take(&mut bufs.slots[c.out]);
                     let mut cols = std::mem::take(&mut bufs.cols);
-                    let ckk = c.cin * c.kh * c.kw;
-                    let howo = c.ho * c.wo;
+                    let ckk = cin * kh * kw;
+                    let howo = ho * wo;
                     im2col(
                         &bufs.slots[c.x],
-                        c.cin,
-                        c.hin,
-                        c.win,
-                        c.kh,
-                        c.kw,
-                        c.stride,
-                        c.pad,
-                        c.ho,
-                        c.wo,
+                        cin,
+                        hin,
+                        win,
+                        kh,
+                        kw,
+                        stride,
+                        pad,
+                        ho,
+                        wo,
                         &mut cols[..ckk * howo],
                     );
+                    let w = ps.get(c.w).value().data();
                     if fast {
-                        simd::gemm(
-                            ps.get(c.w).value().data(),
-                            &cols[..ckk * howo],
-                            &mut out,
-                            c.cout,
-                            ckk,
-                            howo,
-                        );
+                        simd::gemm(w, &cols[..ckk * howo], &mut out, cout, ckk, howo);
                     } else {
-                        conv_gemm(
-                            ps.get(c.w).value().data(),
-                            &cols[..ckk * howo],
-                            &mut out,
-                            c.cout,
-                            ckk,
-                            howo,
-                        );
+                        conv_gemm(w, &cols[..ckk * howo], &mut out, cout, ckk, howo);
                     }
                     if let Some(b) = c.bias {
                         let bv = ps.get(b).value().data();
-                        for ch in 0..c.cout {
+                        for ch in 0..cout {
                             let add = bv[ch];
                             for v in &mut out[ch * howo..(ch + 1) * howo] {
                                 *v += add;
@@ -819,14 +185,14 @@ impl InferPlan {
                         let bev = ps.get(bn.beta).value().data();
                         let rm = ps.get(bn.rmean).value().data();
                         let rv = ps.get(bn.rvar).value().data();
-                        for ch in 0..c.cout {
+                        for ch in 0..cout {
                             // same f32 sequence as the tape's eval bnorm
                             let ivstd = 1.0 / (rv[ch] + bn.eps).sqrt();
                             let scale = gv[ch] * ivstd;
                             let shift = bev[ch] - rm[ch] * scale;
                             let seg = &mut out[ch * howo..(ch + 1) * howo];
                             if fast {
-                                simd::affine_act(seg, scale, shift, conv_act(c));
+                                simd::affine_act(seg, scale, shift, c.act());
                             } else if let Some(alpha) = c.leaky {
                                 for v in seg {
                                     let t = *v * scale + shift;
@@ -844,7 +210,7 @@ impl InferPlan {
                             }
                         }
                     } else if fast {
-                        simd::act_inplace(&mut out, conv_act(c));
+                        simd::act_inplace(&mut out, c.act());
                     } else if let Some(alpha) = c.leaky {
                         for v in out.iter_mut() {
                             let t = *v;
@@ -995,7 +361,7 @@ struct GroupBufs {
 impl GroupBufs {
     fn new(plan: &InferPlan) -> Self {
         GroupBufs {
-            slots: plan.slot_lens.iter().map(|&l| arena::take(l)).collect(),
+            slots: plan.ir.slot_lens.iter().map(|&l| arena::take(l)).collect(),
             cols: arena::take(plan.max_cols),
         }
     }
@@ -1064,11 +430,12 @@ impl<'p> InferExec<'p> {
 
     fn run_inner(&mut self, ps: &ParamSet, input: &Tensor) -> Vec<Tensor> {
         let plan = self.plan;
+        let ir = &plan.ir;
         assert!(
-            !input.shape().is_empty() && input.shape()[1..] == plan.input_shape[..],
+            !input.shape().is_empty() && input.shape()[1..] == *ir.input_shape(),
             "infer input {:?} does not match plan input [N, {:?}]",
             input.shape(),
-            plan.input_shape
+            ir.input_shape()
         );
         let n = input.shape()[0];
         assert!(n > 0, "infer batch must be non-empty");
@@ -1077,10 +444,10 @@ impl<'p> InferExec<'p> {
         let groups = parallel::groups_for(n);
         self.ensure(groups);
         let per = n.div_ceil(groups);
-        let in_len = plan.slot_lens[plan.input_slot];
+        let in_len = ir.slot_lens[ir.input_slot];
 
         // transposed linear weights are shared, read-only per run
-        let derived: Vec<Option<Vec<f32>>> = plan
+        let derived: Vec<Option<Vec<f32>>> = ir
             .ops
             .iter()
             .map(|op| match &op.kind {
@@ -1089,12 +456,12 @@ impl<'p> InferExec<'p> {
             })
             .collect();
 
-        let mut outs: Vec<Tensor> = plan
+        let mut outs: Vec<Tensor> = ir
             .outputs
             .iter()
             .map(|&s| {
                 let mut shape = vec![n];
-                shape.extend_from_slice(&plan.slot_shapes[s]);
+                shape.extend_from_slice(&ir.slot_shapes[s]);
                 Tensor::zeros(&shape)
             })
             .collect();
@@ -1106,7 +473,7 @@ impl<'p> InferExec<'p> {
         // and its own buffer set through take-once mutex cells
         let mut out_cells: Vec<Vec<Mutex<Option<&mut [f32]>>>> = Vec::with_capacity(outs.len());
         for (oi, t) in outs.iter_mut().enumerate() {
-            let olen = plan.slot_lens[plan.outputs[oi]];
+            let olen = ir.slot_lens[ir.outputs[oi]];
             let mut rest: &mut [f32] = t.data_mut();
             let mut cells = Vec::with_capacity(groups);
             for &count in &counts {
@@ -1138,10 +505,10 @@ impl<'p> InferExec<'p> {
             let start = gi * per;
             for li in 0..counts[gi] {
                 let ni = start + li;
-                bufs.slots[plan.input_slot].copy_from_slice(&xin[ni * in_len..(ni + 1) * in_len]);
+                bufs.slots[ir.input_slot].copy_from_slice(&xin[ni * in_len..(ni + 1) * in_len]);
                 plan.exec_sample(ps, &derived, bufs, fast);
-                for (oi, &slot) in plan.outputs.iter().enumerate() {
-                    let olen = plan.slot_lens[slot];
+                for (oi, &slot) in ir.outputs.iter().enumerate() {
+                    let olen = ir.slot_lens[slot];
                     ochunks[oi][li * olen..(li + 1) * olen]
                         .copy_from_slice(&bufs.slots[slot][..olen]);
                 }
@@ -1171,7 +538,7 @@ impl Drop for InferExec<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::ParamSet;
+    use crate::params::{ParamId, ParamSet};
 
     /// Declares a conv(3x3, s1, p1) + bn + leaky + maxpool + conv+bias
     /// net and checks the compiled path matches the tape bitwise.
@@ -1336,18 +703,26 @@ mod tests {
 
     #[test]
     fn compile_rejects_unsupported_ops() {
-        let mut g = Graph::new();
-        let x = g.declare("input", &[], &[], &[1, 4]);
-        let _ = g.declare("softmax", &[x], &[], &[1, 4]);
-        let err = InferPlan::compile(&g, &[VarId::from_index(1)]).unwrap_err();
-        assert!(err.contains("unsupported op 'softmax'"), "got: {err}");
+        for op in ["softmax", "batch_norm2d_train"] {
+            let mut g = Graph::new();
+            let x = g.declare("input", &[], &[], &[1, 4]);
+            let _ = g.declare(op, &[x], &[], &[1, 4]);
+            let err = InferPlan::compile(&g, &[VarId::from_index(1)]).unwrap_err();
+            assert!(
+                err.contains(&format!("unsupported op '{op}'")),
+                "got: {err}"
+            );
+        }
     }
 
+    /// Batched declares and every other malformed tape are rejected
+    /// with an error naming the node, never a panic.
     #[test]
     fn compile_rejects_batched_declares() {
-        let mut g = Graph::new();
-        let _ = g.declare("input", &[], &[], &[2, 3, 8, 8]);
-        let err = InferPlan::compile(&g, &[VarId::from_index(0)]).unwrap_err();
-        assert!(err.contains("batch 1"), "got: {err}");
+        for (g, root, want) in crate::lower::tests::malformed_tapes() {
+            let err = InferPlan::compile(&g, &[root]).unwrap_err();
+            assert!(err.starts_with("infer compile"), "got: {err}");
+            assert!(err.contains(want), "want '{want}', got: {err}");
+        }
     }
 }

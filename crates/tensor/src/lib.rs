@@ -16,12 +16,13 @@
 //! * [`ParamSet`] / [`optim`] — named parameters plus SGD/Adam.
 //! * [`io`] — binary weight blobs plus versioned, CRC-guarded training
 //!   checkpoints with atomic writes for crash-safe resume.
-//! * [`infer`] — tape-free compiled inference ([`InferPlan`] /
-//!   [`InferExec`]) for grad-free evaluation paths, bitwise-identical
-//!   to the tape forward.
-//! * [`train_plan`] — the compiled training step ([`TrainPlan`] /
-//!   [`TrainStep`]): fused forward+backward op lists with activation
-//!   column caching, bitwise-identical to a tape forward+backward.
+//! * Compiled plans: one lowering turns a shape-only `declare` tape into
+//!   a fused op list over activation slots, and two executors run it.
+//!   [`infer`] ([`InferPlan`] / [`InferExec`]) runs it per sample
+//!   without gradients; [`train_plan`] ([`TrainPlan`] / [`TrainStep`])
+//!   runs it full-batch forward and backward with activation column
+//!   caching. Both are bitwise-identical to the tape. [`plan_meta`]
+//!   lifts the shared op list into plain data for static analysis.
 //! * [`check`] — numerical gradient checking used across the workspace.
 //! * [`runtime`] — instance-scoped execution contexts ([`Runtime`]):
 //!   each bundles a worker-thread budget, scratch arena, profiler
@@ -68,6 +69,7 @@ pub mod init;
 pub mod io;
 mod linmap;
 pub mod loss;
+mod lower;
 pub mod optim;
 pub mod parallel;
 mod params;

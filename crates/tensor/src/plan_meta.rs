@@ -7,9 +7,12 @@
 //! [`crate::ParamId`]s it dereferences at execution time, how tape ops
 //! were fused into each kernel, and the geometry that decides how the
 //! worker-group fan-out tiles each buffer. [`PlanMeta`] is that view:
-//! a fully public, plain-data lowering of a compiled plan, produced by
+//! a fully public, plain-data copy of the op list both engines share,
+//! lifted mechanically in one place (`crate::lower`) by
 //! `InferPlan::meta()` / `TrainPlan::meta()` without executing
-//! anything.
+//! anything. For one tape, the two lifts differ only in
+//! [`PlanMeta::kind`], the profile-path prefix and the train executor's
+//! `gx_direct` / `col_budget` fields.
 //!
 //! Every field is public and owned (no references into the plan), so a
 //! consumer can freely reshape or *corrupt* a `PlanMeta` — the analyzer
@@ -171,25 +174,6 @@ pub struct PlanMeta {
     pub outputs: Vec<usize>,
     /// Train plans: the im2col column-cache budget in bytes.
     pub col_budget: Option<usize>,
-}
-
-/// Default-filled [`PlanOpMeta`] for a simple one-input, one-output,
-/// parameter-free op; callers override the fields that differ.
-pub(crate) fn simple_op(name: &str, path: &str, x: usize, out: usize) -> PlanOpMeta {
-    PlanOpMeta {
-        name: name.to_string(),
-        path: path.to_string(),
-        reads: vec![x],
-        writes: vec![out],
-        params: Vec::new(),
-        fused: vec![name.to_string()],
-        conv: None,
-        linear: None,
-        alpha: None,
-        bn_train: None,
-        bn_eps: None,
-        gx_direct: None,
-    }
 }
 
 impl PlanMeta {

@@ -1,14 +1,15 @@
-//! Compiled training step: a gradient-capable plan/executor over the
-//! shape-only `declare` lowering.
+//! Compiled training step: the full-batch forward/backward executor
+//! over the shared declare lowering.
 //!
-//! PR 4's [`crate::infer`] removed the tape's per-node overhead from
-//! grad-free evaluation; this module does the same for the training
-//! hot path. [`TrainPlan::compile`] lowers a declare tape into a flat
-//! op list whose `conv2d → {add_bias_channel | batch_norm2d_train |
-//! batch_norm2d_eval} → leaky_relu` chains are fused, and
-//! [`TrainPlan::forward`] / [`TrainStep::backward`] execute it
-//! full-batch with arena-backed activation, gradient and auxiliary
-//! buffers.
+//! [`crate::infer`] removed the tape's per-node overhead from grad-free
+//! evaluation; this module does the same for the training hot path.
+//! [`TrainPlan::compile`] lowers a declare tape through
+//! `crate::lower`, the one lowering both compiled engines share, with
+//! the train target: fused `conv2d → [bias | batch_norm2d_train |
+//! batch_norm2d_eval] → [leaky_relu]` ops plus pool, upsample, concat
+//! and leaky ops. [`TrainPlan::forward`] / [`TrainStep::backward`]
+//! execute it full-batch with arena-backed activation, gradient and
+//! auxiliary buffers.
 //!
 //! What the compiled step saves over the tape:
 //!
@@ -61,10 +62,9 @@ use crate::bnorm::{
 };
 use crate::conv::{col2im, conv_gemm, gemm_nt, gemm_tn_over, im2col};
 use crate::graph::{Graph, VarId};
+use crate::lower::{lower, ConvOp, Lowered, OpKind};
 use crate::params::{ParamId, ParamSet};
-use crate::plan_meta::{
-    simple_op, ConvGeom, ParamRef, ParamRole, PlanKind, PlanMeta, PlanOpMeta, SlotMeta,
-};
+use crate::plan_meta::{ConvGeom, PlanKind, PlanMeta};
 use crate::pool::{max_pool_backward, max_pool_forward, upsample2x_backward, upsample2x_forward};
 use crate::profile;
 use crate::runtime::{self, Runtime};
@@ -75,146 +75,19 @@ use crate::tier::{self, Tier};
 /// Default im2col column-cache budget: 256 MiB of activation memory.
 pub const DEFAULT_COL_BUDGET: usize = 256 << 20;
 
-/// Batch-norm half of a fused conv: either training mode (batch
-/// statistics, running-stat ids reported back for the momentum fold)
-/// or eval mode (running statistics read from the [`ParamSet`]).
-#[derive(Debug, Clone)]
-struct TBn {
-    gamma: ParamId,
-    beta: ParamId,
-    rmean: ParamId,
-    rvar: ParamId,
-    eps: f32,
-    train: bool,
-}
-
-/// One fused convolution: conv + optional bias + optional batch norm +
-/// optional leaky activation (bias and bn are mutually exclusive, as
-/// in the declare lowering).
-#[derive(Debug, Clone)]
-struct TConv {
-    x: usize,
-    out: usize,
-    w: ParamId,
-    bias: Option<ParamId>,
-    bn: Option<TBn>,
-    leaky: Option<f32>,
-    stride: usize,
-    pad: usize,
-    cin: usize,
-    hin: usize,
-    win: usize,
-    cout: usize,
-    kh: usize,
-    kw: usize,
-    ho: usize,
-    wo: usize,
-    scope: String,
-    /// Statically true when no later op consumes `x` (and `x` is not a
-    /// plan root), so the backward can `col2im`-scatter straight into
-    /// the input-slot gradient instead of a temp + add pass.
-    gx_direct: bool,
-}
-
-impl TConv {
-    fn fused_name(&self) -> String {
-        let mut name = String::from("conv");
-        if self.bias.is_some() {
-            name.push_str("_bias");
-        }
-        if self.bn.is_some() {
-            name.push_str("_bn");
-        }
-        if self.leaky.is_some() {
-            name.push_str("_leaky");
-        }
-        name
-    }
-}
-
-/// Executable op kinds. Slot indices refer to full-batch activation /
-/// gradient buffers in a [`TrainStep`].
-#[derive(Debug, Clone)]
-enum TOp {
-    Conv(TConv),
-    MaxPool {
-        x: usize,
-        out: usize,
-        k: usize,
-        stride: usize,
-        c: usize,
-        h: usize,
-        w: usize,
-        ho: usize,
-        wo: usize,
-    },
-    Upsample2x {
-        x: usize,
-        out: usize,
-        c: usize,
-        h: usize,
-        w: usize,
-    },
-    Concat {
-        a: usize,
-        b: usize,
-        out: usize,
-        ca: usize,
-        cb: usize,
-        hw: usize,
-    },
-    Leaky {
-        x: usize,
-        out: usize,
-        alpha: f32,
-        len: usize,
-    },
-}
-
-impl TOp {
-    /// Slots this op reads in its forward pass (= slots its backward
-    /// writes gradients into).
-    fn reads(&self) -> [Option<usize>; 2] {
-        match self {
-            TOp::Conv(c) => [Some(c.x), None],
-            TOp::MaxPool { x, .. } | TOp::Upsample2x { x, .. } | TOp::Leaky { x, .. } => {
-                [Some(*x), None]
-            }
-            TOp::Concat { a, b, .. } => [Some(*a), Some(*b)],
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct TPlanOp {
-    kind: TOp,
-    /// Forward profile key (`train/<scope>/<fused-op>`).
-    path: String,
-    /// Backward profile key (`train/<scope>/<fused-op>_bwd`).
-    path_bwd: String,
-}
-
-/// How a tape node maps into the plan while compiling.
-#[derive(Debug, Clone, Copy)]
-enum NodeRef {
-    Param(ParamId),
-    Slot(usize),
-}
-
-/// A compiled training step: a flat, topologically ordered op list
-/// with fused forward/backward kernels, derived from a shape-only
-/// [`Graph::declare`] lowering at batch 1 and executable at any batch
-/// size.
+/// A compiled training step: the shared lowering of a
+/// [`Graph::declare`] tape at batch 1, run full-batch forward and
+/// backward at any batch size.
 #[derive(Debug)]
 pub struct TrainPlan {
-    ops: Vec<TPlanOp>,
-    /// Per-sample flat length of each activation slot.
-    slot_lens: Vec<usize>,
-    /// Per-sample shape of each activation slot (batch dim stripped).
-    slot_shapes: Vec<Vec<usize>>,
-    input_slot: usize,
-    input_shape: Vec<usize>,
-    outputs: Vec<usize>,
+    ir: Lowered,
+    /// Backward profile key per op (`train/<scope>/<fused-op>_bwd`).
+    bwd_paths: Vec<String>,
+    /// Per op: statically true for a conv whose input slot no later op
+    /// reads and no root names, so the backward can `col2im`-scatter
+    /// straight into the input-slot gradient instead of a temp + add
+    /// pass. False for every other op.
+    gx_direct: Vec<bool>,
     /// Largest per-sample raw conv output any bn-fused conv stages.
     max_bn_raw: usize,
     /// im2col column-cache budget in bytes.
@@ -225,336 +98,43 @@ impl TrainPlan {
     /// Compiles a declare-lowered tape (built at batch 1) into a
     /// training plan producing the values of `roots`, in order.
     ///
-    /// Fusion is peephole over the tape order, exactly as in
-    /// [`crate::InferPlan::compile`], with `batch_norm2d_train`
-    /// declares (carrying `rmean_pid`/`rvar_pid`/`eps_bits` attrs)
-    /// accepted alongside the eval form. A leaky activation only fuses
-    /// into its conv when `alpha > 0`, the condition under which the
-    /// backward may reconstruct the input's sign from the fused
-    /// output.
-    ///
     /// # Errors
     ///
-    /// Returns a message naming the offending node when the tape
-    /// contains an op the executor does not support, is missing
-    /// required attrs, or was not declared at batch 1.
+    /// Returns a message naming the offending node when the lowering
+    /// rejects the tape: an op with no backward here (`relu`,
+    /// `sigmoid`, `linear`) or no executor at all, a missing attr, a
+    /// slot or weight of the wrong rank, or a tape not declared at
+    /// batch 1.
     pub fn compile(g: &Graph, roots: &[VarId]) -> Result<TrainPlan, String> {
-        let metas = g.metas();
-        let mut refs: Vec<Option<NodeRef>> = vec![None; metas.len()];
-        let mut ops: Vec<TPlanOp> = Vec::new();
-        let mut slot_lens: Vec<usize> = Vec::new();
-        let mut slot_shapes: Vec<Vec<usize>> = Vec::new();
-        let mut input: Option<usize> = None;
-
-        fn new_slot(
-            lens: &mut Vec<usize>,
-            shapes: &mut Vec<Vec<usize>>,
-            shape: &[usize],
-            path: &str,
-        ) -> Result<usize, String> {
-            if shape.first() != Some(&1) {
-                return Err(format!(
-                    "train compile at {path}: plans must be declared at batch 1, got {shape:?}"
-                ));
-            }
-            let per: Vec<usize> = shape[1..].to_vec();
-            lens.push(per.iter().product());
-            shapes.push(per);
-            Ok(shapes.len() - 1)
-        }
-
-        for (idx, meta) in metas.iter().enumerate() {
-            let fail = |msg: String| Err(format!("train compile at {}: {msg}", meta.path()));
-            let slot_of = |refs: &[Option<NodeRef>], pi: usize| -> Result<usize, String> {
-                match refs[meta.parents[pi].index()] {
-                    Some(NodeRef::Slot(s)) => Ok(s),
-                    _ => Err(format!(
-                        "train compile at {}: parent {pi} is not a value node",
-                        meta.path()
-                    )),
+        let ir = lower(g, roots, PlanKind::Train)?;
+        let bwd_paths = ir.ops.iter().map(|op| format!("{}_bwd", op.path)).collect();
+        let gx_direct = ir
+            .ops
+            .iter()
+            .enumerate()
+            .map(|(oi, op)| match &op.kind {
+                OpKind::Conv(c) => {
+                    !ir.outputs.contains(&c.x)
+                        && !ir.ops[oi + 1..]
+                            .iter()
+                            .any(|o| o.kind.reads().contains(&c.x))
                 }
-            };
-            let param_of = |refs: &[Option<NodeRef>], pi: usize| -> Result<ParamId, String> {
-                match refs[meta.parents[pi].index()] {
-                    Some(NodeRef::Param(p)) => Ok(p),
-                    _ => Err(format!(
-                        "train compile at {}: parent {pi} is not a param node",
-                        meta.path()
-                    )),
-                }
-            };
-            let attr = |name: &str| -> Result<usize, String> {
-                meta.attr(name).ok_or(format!(
-                    "train compile at {}: missing '{name}' attr",
-                    meta.path()
-                ))
-            };
-
-            match meta.op {
-                "input" => {
-                    if input.is_some() {
-                        return fail("plan supports a single input".into());
-                    }
-                    let s = new_slot(
-                        &mut slot_lens,
-                        &mut slot_shapes,
-                        &meta.expected_shape,
-                        &meta.path(),
-                    )?;
-                    input = Some(s);
-                    refs[idx] = Some(NodeRef::Slot(s));
-                }
-                "param" => {
-                    refs[idx] = Some(NodeRef::Param(ParamId(attr("pid")?)));
-                }
-                "conv2d" => {
-                    let x = slot_of(&refs, 0)?;
-                    let w = param_of(&refs, 1)?;
-                    let ws = &metas[meta.parents[1].index()].expected_shape;
-                    let (cin, hin, win) = {
-                        let xs = &slot_shapes[x];
-                        (xs[0], xs[1], xs[2])
-                    };
-                    let (cout, kh, kw) = (ws[0], ws[2], ws[3]);
-                    let out = new_slot(
-                        &mut slot_lens,
-                        &mut slot_shapes,
-                        &meta.expected_shape,
-                        &meta.path(),
-                    )?;
-                    let (ho, wo) = (slot_shapes[out][1], slot_shapes[out][2]);
-                    ops.push(TPlanOp {
-                        kind: TOp::Conv(TConv {
-                            x,
-                            out,
-                            w,
-                            bias: None,
-                            bn: None,
-                            leaky: None,
-                            stride: attr("stride")?,
-                            pad: attr("pad")?,
-                            cin,
-                            hin,
-                            win,
-                            cout,
-                            kh,
-                            kw,
-                            ho,
-                            wo,
-                            scope: meta.scope.clone(),
-                            gx_direct: false,
-                        }),
-                        path: String::new(),
-                        path_bwd: String::new(),
-                    });
-                    refs[idx] = Some(NodeRef::Slot(out));
-                }
-                "add_bias_channel" => {
-                    let y = slot_of(&refs, 0)?;
-                    let b = param_of(&refs, 1)?;
-                    match ops.last_mut().map(|o| &mut o.kind) {
-                        Some(TOp::Conv(c))
-                            if c.out == y
-                                && c.bias.is_none()
-                                && c.bn.is_none()
-                                && c.leaky.is_none() =>
-                        {
-                            c.bias = Some(b);
-                            refs[idx] = Some(NodeRef::Slot(y));
-                        }
-                        _ => return fail("add_bias_channel must directly follow its conv".into()),
-                    }
-                }
-                "batch_norm2d_eval" | "batch_norm2d_train" => {
-                    let y = slot_of(&refs, 0)?;
-                    let gamma = param_of(&refs, 1)?;
-                    let beta = param_of(&refs, 2)?;
-                    let bn = TBn {
-                        gamma,
-                        beta,
-                        rmean: ParamId(attr("rmean_pid")?),
-                        rvar: ParamId(attr("rvar_pid")?),
-                        eps: f32::from_bits(attr("eps_bits")? as u32),
-                        train: meta.op == "batch_norm2d_train",
-                    };
-                    match ops.last_mut().map(|o| &mut o.kind) {
-                        Some(TOp::Conv(c))
-                            if c.out == y
-                                && c.bias.is_none()
-                                && c.bn.is_none()
-                                && c.leaky.is_none() =>
-                        {
-                            c.bn = Some(bn);
-                            refs[idx] = Some(NodeRef::Slot(y));
-                        }
-                        _ => return fail("batch norm must directly follow its conv".into()),
-                    }
-                }
-                "leaky_relu" => {
-                    let x = slot_of(&refs, 0)?;
-                    let alpha = f32::from_bits(attr("alpha_bits")? as u32);
-                    match ops.last_mut().map(|o| &mut o.kind) {
-                        Some(TOp::Conv(c)) if c.out == x && c.leaky.is_none() && alpha > 0.0 => {
-                            c.leaky = Some(alpha);
-                            refs[idx] = Some(NodeRef::Slot(x));
-                        }
-                        _ => {
-                            let out = new_slot(
-                                &mut slot_lens,
-                                &mut slot_shapes,
-                                &meta.expected_shape,
-                                &meta.path(),
-                            )?;
-                            let len = slot_lens[out];
-                            let path = format!("train/{}", meta.path());
-                            ops.push(TPlanOp {
-                                kind: TOp::Leaky { x, out, alpha, len },
-                                path_bwd: format!("{path}_bwd"),
-                                path,
-                            });
-                            refs[idx] = Some(NodeRef::Slot(out));
-                        }
-                    }
-                }
-                "max_pool2d" => {
-                    let x = slot_of(&refs, 0)?;
-                    let xs = slot_shapes[x].clone();
-                    let out = new_slot(
-                        &mut slot_lens,
-                        &mut slot_shapes,
-                        &meta.expected_shape,
-                        &meta.path(),
-                    )?;
-                    let path = format!("train/{}", meta.path());
-                    ops.push(TPlanOp {
-                        kind: TOp::MaxPool {
-                            x,
-                            out,
-                            k: attr("k")?,
-                            stride: attr("stride")?,
-                            c: xs[0],
-                            h: xs[1],
-                            w: xs[2],
-                            ho: slot_shapes[out][1],
-                            wo: slot_shapes[out][2],
-                        },
-                        path_bwd: format!("{path}_bwd"),
-                        path,
-                    });
-                    refs[idx] = Some(NodeRef::Slot(out));
-                }
-                "upsample_nearest2x" => {
-                    let x = slot_of(&refs, 0)?;
-                    let xs = slot_shapes[x].clone();
-                    let out = new_slot(
-                        &mut slot_lens,
-                        &mut slot_shapes,
-                        &meta.expected_shape,
-                        &meta.path(),
-                    )?;
-                    let path = format!("train/{}", meta.path());
-                    ops.push(TPlanOp {
-                        kind: TOp::Upsample2x {
-                            x,
-                            out,
-                            c: xs[0],
-                            h: xs[1],
-                            w: xs[2],
-                        },
-                        path_bwd: format!("{path}_bwd"),
-                        path,
-                    });
-                    refs[idx] = Some(NodeRef::Slot(out));
-                }
-                "concat_channels" => {
-                    let a = slot_of(&refs, 0)?;
-                    let b = slot_of(&refs, 1)?;
-                    let (asl, bsl) = (slot_shapes[a].clone(), slot_shapes[b].clone());
-                    if asl[1..] != bsl[1..] {
-                        return fail(format!("concat spatial mismatch {asl:?} vs {bsl:?}"));
-                    }
-                    let out = new_slot(
-                        &mut slot_lens,
-                        &mut slot_shapes,
-                        &meta.expected_shape,
-                        &meta.path(),
-                    )?;
-                    let path = format!("train/{}", meta.path());
-                    ops.push(TPlanOp {
-                        kind: TOp::Concat {
-                            a,
-                            b,
-                            out,
-                            ca: asl[0],
-                            cb: bsl[0],
-                            hw: asl[1] * asl[2],
-                        },
-                        path_bwd: format!("{path}_bwd"),
-                        path,
-                    });
-                    refs[idx] = Some(NodeRef::Slot(out));
-                }
-                "reshape" => {
-                    // flat per-sample data is unchanged; alias the slot
-                    // (gradients alias it too, which is exactly right)
-                    let x = slot_of(&refs, 0)?;
-                    let len: usize = meta.expected_shape[1..].iter().product();
-                    if len != slot_lens[x] {
-                        return fail(format!(
-                            "reshape changes per-sample length {} -> {len}",
-                            slot_lens[x]
-                        ));
-                    }
-                    refs[idx] = Some(NodeRef::Slot(x));
-                }
-                other => return fail(format!("unsupported op '{other}'")),
-            }
-        }
-
-        let input_slot = input.ok_or("train compile: tape has no input node".to_string())?;
-        let mut outputs = Vec::with_capacity(roots.len());
-        for &r in roots {
-            match refs[r.index()] {
-                Some(NodeRef::Slot(s)) => outputs.push(s),
-                _ => return Err(format!("train compile: root {} is not a value", r.index())),
-            }
-        }
-
-        // finalize fused conv profile paths and the static direct-vs-temp
-        // input-gradient routing now fusion/consumer state is known
-        let mut max_bn_raw = 0usize;
-        for oi in 0..ops.len() {
-            let (later_reads, is_root);
-            let x = match &ops[oi].kind {
-                TOp::Conv(c) => c.x,
-                _ => continue,
-            };
-            later_reads = ops[oi + 1..]
-                .iter()
-                .any(|o| o.kind.reads().into_iter().flatten().any(|s| s == x));
-            is_root = outputs.contains(&x);
-            if let TOp::Conv(c) = &mut ops[oi].kind {
-                c.gx_direct = !later_reads && !is_root;
-                if c.bn.is_some() {
-                    max_bn_raw = max_bn_raw.max(c.cout * c.ho * c.wo);
-                }
-                let fused = c.fused_name();
-                ops[oi].path = if c.scope.is_empty() {
-                    format!("train/{fused}")
-                } else {
-                    format!("train/{}/{fused}", c.scope)
-                };
-                ops[oi].path_bwd = format!("{}_bwd", ops[oi].path);
-            }
-        }
-
+                _ => false,
+            })
+            .collect();
+        let max_bn_raw = ir
+            .ops
+            .iter()
+            .filter_map(|op| match &op.kind {
+                OpKind::Conv(c) if c.bn.is_some() => Some(c.geom.cout * c.geom.ho * c.geom.wo),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
         Ok(TrainPlan {
-            ops,
-            input_shape: slot_shapes[input_slot].clone(),
-            slot_lens,
-            slot_shapes,
-            input_slot,
-            outputs,
+            ir,
+            bwd_paths,
+            gx_direct,
             max_bn_raw,
             col_budget: DEFAULT_COL_BUDGET,
         })
@@ -562,124 +142,26 @@ impl TrainPlan {
 
     /// Number of (fused) ops in the plan.
     pub fn num_ops(&self) -> usize {
-        self.ops.len()
+        self.ir.ops.len()
     }
 
     /// Per-sample input shape (batch dimension stripped).
     pub fn input_shape(&self) -> &[usize] {
-        &self.input_shape
+        self.ir.input_shape()
     }
 
     /// Number of plan roots.
     pub fn num_outputs(&self) -> usize {
-        self.outputs.len()
+        self.ir.outputs.len()
     }
 
     /// Lifts the plan into a plain-data [`PlanMeta`] description (op
     /// list with slot defs/uses, parameter references, fusion
-    /// composition, conv geometry and `gx_direct` routing) for static
-    /// analysis. Nothing is executed; the returned value owns all its
-    /// data.
+    /// composition, conv geometry, `gx_direct` routing and the column
+    /// budget) for static analysis. Nothing is executed; the returned
+    /// value owns all its data.
     pub fn meta(&self) -> PlanMeta {
-        let ops = self
-            .ops
-            .iter()
-            .map(|op| match &op.kind {
-                TOp::Conv(c) => {
-                    let mut params = vec![ParamRef {
-                        role: ParamRole::ConvWeight,
-                        index: c.w.index(),
-                    }];
-                    let mut fused = vec!["conv2d".to_string()];
-                    if let Some(b) = c.bias {
-                        params.push(ParamRef {
-                            role: ParamRole::ConvBias,
-                            index: b.index(),
-                        });
-                        fused.push("add_bias_channel".to_string());
-                    }
-                    let mut bn_eps = None;
-                    if let Some(bn) = &c.bn {
-                        for (role, pid) in [
-                            (ParamRole::BnGamma, bn.gamma),
-                            (ParamRole::BnBeta, bn.beta),
-                            (ParamRole::BnRunningMean, bn.rmean),
-                            (ParamRole::BnRunningVar, bn.rvar),
-                        ] {
-                            params.push(ParamRef {
-                                role,
-                                index: pid.index(),
-                            });
-                        }
-                        fused.push(
-                            if bn.train {
-                                "batch_norm2d_train"
-                            } else {
-                                "batch_norm2d_eval"
-                            }
-                            .to_string(),
-                        );
-                        bn_eps = Some(bn.eps);
-                    }
-                    if c.leaky.is_some() {
-                        fused.push("leaky_relu".to_string());
-                    }
-                    PlanOpMeta {
-                        name: c.fused_name(),
-                        path: op.path.clone(),
-                        reads: vec![c.x],
-                        writes: vec![c.out],
-                        params,
-                        fused,
-                        conv: Some(ConvGeom {
-                            stride: c.stride,
-                            pad: c.pad,
-                            cin: c.cin,
-                            hin: c.hin,
-                            win: c.win,
-                            cout: c.cout,
-                            kh: c.kh,
-                            kw: c.kw,
-                            ho: c.ho,
-                            wo: c.wo,
-                        }),
-                        linear: None,
-                        alpha: c.leaky,
-                        bn_train: c.bn.as_ref().map(|bn| bn.train),
-                        bn_eps,
-                        gx_direct: Some(c.gx_direct),
-                    }
-                }
-                TOp::MaxPool { x, out, .. } => simple_op("max_pool2d", &op.path, *x, *out),
-                TOp::Upsample2x { x, out, .. } => {
-                    simple_op("upsample_nearest2x", &op.path, *x, *out)
-                }
-                TOp::Concat { a, b, out, .. } => PlanOpMeta {
-                    reads: vec![*a, *b],
-                    ..simple_op("concat_channels", &op.path, *a, *out)
-                },
-                TOp::Leaky { x, out, alpha, .. } => PlanOpMeta {
-                    alpha: Some(*alpha),
-                    ..simple_op("leaky_relu", &op.path, *x, *out)
-                },
-            })
-            .collect();
-        PlanMeta {
-            kind: PlanKind::Train,
-            ops,
-            slots: self
-                .slot_lens
-                .iter()
-                .zip(&self.slot_shapes)
-                .map(|(&len, shape)| SlotMeta {
-                    len,
-                    shape: shape.clone(),
-                })
-                .collect(),
-            input_slot: self.input_slot,
-            outputs: self.outputs.clone(),
-            col_budget: Some(self.col_budget),
-        }
+        self.ir.meta(Some(&self.gx_direct), Some(self.col_budget))
     }
 
     /// Sets the im2col column-cache budget in bytes. Convs are cached
@@ -710,10 +192,10 @@ impl TrainPlan {
         need_param_grads: bool,
     ) -> TrainStep<'p> {
         assert!(
-            !input.shape().is_empty() && input.shape()[1..] == self.input_shape[..],
+            !input.shape().is_empty() && input.shape()[1..] == *self.ir.input_shape(),
             "train input {:?} does not match plan input [N, {:?}]",
             input.shape(),
-            self.input_shape
+            self.ir.input_shape()
         );
         let n = input.shape()[0];
         assert!(n > 0, "train batch must be non-empty");
@@ -721,18 +203,23 @@ impl TrainPlan {
         // one step always run the same kernel tier
         let fast = tier::current() == Tier::Fast;
 
-        let mut vals: Vec<Vec<f32>> = self.slot_lens.iter().map(|&l| arena::take(n * l)).collect();
-        vals[self.input_slot].copy_from_slice(input.data());
-        let mut aux: Vec<OpAux> = self.ops.iter().map(|_| OpAux::default()).collect();
+        let mut vals: Vec<Vec<f32>> = self
+            .ir
+            .slot_lens
+            .iter()
+            .map(|&l| arena::take(n * l))
+            .collect();
+        vals[self.ir.input_slot].copy_from_slice(input.data());
+        let mut aux: Vec<OpAux> = self.ir.ops.iter().map(|_| OpAux::default()).collect();
         let mut bn_stats: Vec<(ParamId, ParamId, BatchStats)> = Vec::new();
 
         // Greedy column-cache allocation in op order under the budget.
-        let mut cols_cache: Vec<Option<Vec<f32>>> = self.ops.iter().map(|_| None).collect();
+        let mut cols_cache: Vec<Option<Vec<f32>>> = self.ir.ops.iter().map(|_| None).collect();
         if need_param_grads {
             let mut left = self.col_budget / std::mem::size_of::<f32>();
-            for (oi, op) in self.ops.iter().enumerate() {
-                if let TOp::Conv(c) = &op.kind {
-                    let elems = n * c.cin * c.kh * c.kw * c.ho * c.wo;
+            for (oi, op) in self.ir.ops.iter().enumerate() {
+                if let OpKind::Conv(c) = &op.kind {
+                    let elems = n * c.geom.cols_len();
                     if elems <= left {
                         left -= elems;
                         cols_cache[oi] = Some(arena::take(elems));
@@ -744,12 +231,24 @@ impl TrainPlan {
         // Shared staging buffer for raw conv outputs feeding a batch norm.
         let mut raw = arena::take(n * self.max_bn_raw);
 
-        for (oi, op) in self.ops.iter().enumerate() {
+        for (oi, op) in self.ir.ops.iter().enumerate() {
             let t0 = profile::enabled().then(std::time::Instant::now);
             match &op.kind {
-                TOp::Conv(c) => {
-                    let (ckk, howo, o) = (c.cin * c.kh * c.kw, c.ho * c.wo, c.cout);
-                    let in_len = c.cin * c.hin * c.win;
+                OpKind::Conv(c) => {
+                    let ConvGeom {
+                        stride,
+                        pad,
+                        cin,
+                        hin,
+                        win,
+                        cout,
+                        kh,
+                        kw,
+                        ho,
+                        wo,
+                    } = c.geom;
+                    let (ckk, howo, o) = (cin * kh * kw, ho * wo, cout);
+                    let in_len = cin * hin * win;
                     let mut out = std::mem::take(&mut vals[c.out]);
                     // Eval-bn backward needs the raw conv output when
                     // parameter gradients are requested; keep a per-op
@@ -808,15 +307,15 @@ impl TrainPlan {
                                 };
                                 im2col(
                                     &xd[ni * in_len..(ni + 1) * in_len],
-                                    c.cin,
-                                    c.hin,
-                                    c.win,
-                                    c.kh,
-                                    c.kw,
-                                    c.stride,
-                                    c.pad,
-                                    c.ho,
-                                    c.wo,
+                                    cin,
+                                    hin,
+                                    win,
+                                    kh,
+                                    kw,
+                                    stride,
+                                    pad,
+                                    ho,
+                                    wo,
                                     cols,
                                 );
                                 if fast {
@@ -888,7 +387,7 @@ impl TrainPlan {
                     }
                     vals[c.out] = out;
                 }
-                TOp::MaxPool {
+                OpKind::MaxPool {
                     x,
                     out,
                     k,
@@ -915,12 +414,12 @@ impl TrainPlan {
                     );
                     vals[*out] = o;
                 }
-                TOp::Upsample2x { x, out, c, h, w } => {
+                OpKind::Upsample2x { x, out, c, h, w } => {
                     let mut o = std::mem::take(&mut vals[*out]);
                     upsample2x_forward(&vals[*x], n * c, *h, *w, &mut o);
                     vals[*out] = o;
                 }
-                TOp::Concat {
+                OpKind::Concat {
                     a,
                     b,
                     out,
@@ -938,12 +437,15 @@ impl TrainPlan {
                     }
                     vals[*out] = o;
                 }
-                TOp::Leaky { x, out, alpha, len } => {
+                OpKind::Leaky { x, out, alpha, len } => {
                     let mut o = std::mem::take(&mut vals[*out]);
                     for (ov, &xv) in o.iter_mut().zip(&vals[*x][..n * len]) {
                         *ov = if xv > 0.0 { xv } else { alpha * xv };
                     }
                     vals[*out] = o;
+                }
+                OpKind::Relu { .. } | OpKind::Sigmoid { .. } | OpKind::Linear { .. } => {
+                    unreachable!("the train target rejects {:?} at compile", op.kind)
                 }
             }
             if let Some(t0) = t0 {
@@ -1027,9 +529,9 @@ impl TrainStep<'_> {
 
     /// The `i`-th plan root's full-batch value, `[N, ...slot_shape]`.
     pub fn output(&self, i: usize) -> Tensor {
-        let slot = self.plan.outputs[i];
+        let slot = self.plan.ir.outputs[i];
         let mut shape = vec![self.n];
-        shape.extend_from_slice(&self.plan.slot_shapes[slot]);
+        shape.extend_from_slice(&self.plan.ir.slot_shapes[slot]);
         Tensor::from_vec(self.vals[slot].clone(), &shape)
     }
 
@@ -1067,29 +569,30 @@ impl TrainStep<'_> {
         let plan = self.plan;
         assert_eq!(
             seeds.len(),
-            plan.outputs.len(),
+            plan.ir.outputs.len(),
             "expected one seed per plan root"
         );
         self.grads = plan
+            .ir
             .slot_lens
             .iter()
             .map(|&l| arena::take(self.n * l))
             .collect();
         for (si, seed) in seeds.iter().enumerate() {
-            let slot = plan.outputs[si];
+            let slot = plan.ir.outputs[si];
             assert_eq!(
                 seed.len(),
-                self.n * plan.slot_lens[slot],
+                self.n * plan.ir.slot_lens[slot],
                 "seed {si} length mismatch"
             );
             self.grads[slot].copy_from_slice(seed.data());
         }
-        for oi in (0..plan.ops.len()).rev() {
-            let op = &plan.ops[oi];
+        for oi in (0..plan.ir.ops.len()).rev() {
+            let op = &plan.ir.ops[oi];
             let t0 = profile::enabled().then(std::time::Instant::now);
             match &op.kind {
-                TOp::Conv(c) => self.conv_backward(ps, oi, c, need_input_grad),
-                TOp::MaxPool {
+                OpKind::Conv(c) => self.conv_backward(ps, oi, c, need_input_grad),
+                OpKind::MaxPool {
                     x,
                     out,
                     c,
@@ -1112,12 +615,12 @@ impl TrainStep<'_> {
                     );
                     arena::recycle(gout);
                 }
-                TOp::Upsample2x { x, out, c, h, w } => {
+                OpKind::Upsample2x { x, out, c, h, w } => {
                     let gout = std::mem::take(&mut self.grads[*out]);
                     upsample2x_backward(&gout, self.n * c, *h, *w, &mut self.grads[*x]);
                     arena::recycle(gout);
                 }
-                TOp::Concat {
+                OpKind::Concat {
                     a,
                     b,
                     out,
@@ -1140,7 +643,7 @@ impl TrainStep<'_> {
                     }
                     arena::recycle(gout);
                 }
-                TOp::Leaky { x, out, alpha, len } => {
+                OpKind::Leaky { x, out, alpha, len } => {
                     let gout = std::mem::take(&mut self.grads[*out]);
                     let xv = &self.vals[*x];
                     let gx = &mut self.grads[*x];
@@ -1154,9 +657,12 @@ impl TrainStep<'_> {
                     }
                     arena::recycle(gout);
                 }
+                OpKind::Relu { .. } | OpKind::Sigmoid { .. } | OpKind::Linear { .. } => {
+                    unreachable!("the train target rejects {:?} at compile", op.kind)
+                }
             }
             if let Some(t0) = t0 {
-                profile::add_sample(&op.path_bwd, t0.elapsed().as_nanos() as u64);
+                profile::add_sample(&plan.bwd_paths[oi], t0.elapsed().as_nanos() as u64);
             }
         }
     }
@@ -1164,10 +670,22 @@ impl TrainStep<'_> {
     /// Backward of one fused conv: leaky grad transform in place on the
     /// output-slot gradient, bn / bias gradients, then the conv core
     /// with cached columns and the direct-vs-temp `col2im` routing.
-    fn conv_backward(&mut self, ps: &ParamSet, oi: usize, c: &TConv, need_input_grad: bool) {
+    fn conv_backward(&mut self, ps: &ParamSet, oi: usize, c: &ConvOp, need_input_grad: bool) {
+        let ConvGeom {
+            stride,
+            pad,
+            cin,
+            hin,
+            win,
+            cout,
+            kh,
+            kw,
+            ho,
+            wo,
+        } = c.geom;
         let n = self.n;
-        let (ckk, howo, o) = (c.cin * c.kh * c.kw, c.ho * c.wo, c.cout);
-        let in_len = c.cin * c.hin * c.win;
+        let (ckk, howo, o) = (cin * kh * kw, ho * wo, cout);
+        let in_len = cin * hin * win;
         let mut gout = std::mem::take(&mut self.grads[c.out]);
 
         if let Some(alpha) = c.leaky {
@@ -1238,7 +756,7 @@ impl TrainStep<'_> {
 
         // conv core: gw needs columns (cached or recomputed), gx needs
         // the weight-transposed GEMM + col2im scatter
-        let compute_gx = c.x != self.plan.input_slot || need_input_grad;
+        let compute_gx = c.x != self.plan.ir.input_slot || need_input_grad;
         if self.need_param_grads {
             if self.cols_cache[oi].is_some() {
                 self.col_hits += n as u64;
@@ -1255,7 +773,7 @@ impl TrainStep<'_> {
             let need_pg = self.need_param_grads;
             let fast = self.fast;
             let mut gx_tmp: Option<Vec<f32>> =
-                (compute_gx && !c.gx_direct).then(|| arena::take(n * in_len));
+                (compute_gx && !self.plan.gx_direct[oi]).then(|| arena::take(n * in_len));
             let gw_partials: Vec<Option<Vec<f32>>> = {
                 let gx_data: Option<&mut [f32]> = if compute_gx {
                     Some(match gx_tmp.as_mut() {
@@ -1299,15 +817,15 @@ impl TrainStep<'_> {
                                     let sc = cols_scratch.as_mut().expect("scratch gated above");
                                     im2col(
                                         &xd[ni * in_len..(ni + 1) * in_len],
-                                        c.cin,
-                                        c.hin,
-                                        c.win,
-                                        c.kh,
-                                        c.kw,
-                                        c.stride,
-                                        c.pad,
-                                        c.ho,
-                                        c.wo,
+                                        cin,
+                                        hin,
+                                        win,
+                                        kh,
+                                        kw,
+                                        stride,
+                                        pad,
+                                        ho,
+                                        wo,
                                         &mut sc[..],
                                     );
                                     &sc[..]
@@ -1328,15 +846,15 @@ impl TrainStep<'_> {
                             }
                             col2im(
                                 &gc[..],
-                                c.cin,
-                                c.hin,
-                                c.win,
-                                c.kh,
-                                c.kw,
-                                c.stride,
-                                c.pad,
-                                c.ho,
-                                c.wo,
+                                cin,
+                                hin,
+                                win,
+                                kh,
+                                kw,
+                                stride,
+                                pad,
+                                ho,
+                                wo,
                                 &mut gx_chunk[li * in_len..(li + 1) * in_len],
                             );
                         }
@@ -1374,8 +892,8 @@ impl TrainStep<'_> {
     pub fn input_grad(&self) -> Tensor {
         assert!(self.ran_backward, "input_grad before backward");
         let mut shape = vec![self.n];
-        shape.extend_from_slice(&self.plan.input_shape);
-        Tensor::from_vec(self.grads[self.plan.input_slot].clone(), &shape)
+        shape.extend_from_slice(self.plan.input_shape());
+        Tensor::from_vec(self.grads[self.plan.ir.input_slot].clone(), &shape)
     }
 
     /// Adds the accumulated parameter gradients into `ps`'s gradient
@@ -1425,7 +943,7 @@ impl Drop for TrainStep<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1433,7 +951,7 @@ mod tests {
     const EPS: f32 = 1e-5;
     const ALPHA: f32 = 0.1;
 
-    struct Net {
+    pub(crate) struct Net {
         w1: ParamId,
         gamma: ParamId,
         beta: ParamId,
@@ -1448,7 +966,7 @@ mod tests {
     /// root = leaky(concat(a, b)). Covers every op kind, the shared-slot
     /// temp path (y0 feeds both the a-conv and the pool) and the direct
     /// path (the b-conv is y0's chain's sole consumer of `u`).
-    fn net(ps: &mut ParamSet) -> Net {
+    pub(crate) fn net(ps: &mut ParamSet) -> Net {
         let mut rng = StdRng::seed_from_u64(7);
         Net {
             w1: ps.register("w1", crate::init::kaiming_conv(&mut rng, 4, 3, 3, 3)),
@@ -1462,7 +980,7 @@ mod tests {
         }
     }
 
-    fn declare_net(g: &mut Graph, ids: &Net, train_bn: bool) -> VarId {
+    pub(crate) fn declare_net(g: &mut Graph, ids: &Net, train_bn: bool) -> VarId {
         let bn_op = if train_bn {
             "batch_norm2d_train"
         } else {
@@ -1716,15 +1234,22 @@ mod tests {
 
     #[test]
     fn compile_rejects_unsupported_and_batched() {
-        let mut g = Graph::new();
-        let x = g.declare("input", &[], &[], &[1, 4]);
-        let _ = g.declare("softmax", &[x], &[], &[1, 4]);
-        let err = TrainPlan::compile(&g, &[VarId::from_index(1)]).unwrap_err();
-        assert!(err.contains("unsupported op 'softmax'"), "got: {err}");
+        // relu, sigmoid and linear have an infer executor but no backward
+        for op in ["softmax", "relu", "sigmoid", "linear"] {
+            let mut g = Graph::new();
+            let x = g.declare("input", &[], &[], &[1, 4]);
+            let _ = g.declare(op, &[x], &[], &[1, 4]);
+            let err = TrainPlan::compile(&g, &[VarId::from_index(1)]).unwrap_err();
+            assert!(
+                err.contains(&format!("unsupported op '{op}'")),
+                "got: {err}"
+            );
+        }
 
-        let mut g = Graph::new();
-        let _ = g.declare("input", &[], &[], &[2, 3, 8, 8]);
-        let err = TrainPlan::compile(&g, &[VarId::from_index(0)]).unwrap_err();
-        assert!(err.contains("batch 1"), "got: {err}");
+        for (g, root, want) in crate::lower::tests::malformed_tapes() {
+            let err = TrainPlan::compile(&g, &[root]).unwrap_err();
+            assert!(err.starts_with("train compile"), "got: {err}");
+            assert!(err.contains(want), "want '{want}', got: {err}");
+        }
     }
 }
