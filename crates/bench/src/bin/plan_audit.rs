@@ -33,10 +33,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rd_analysis::{certify_logit_bounds, liveness, KernelModel, PlanIr};
-use rd_bench::arg;
 use rd_detector::{TinyYolo, YoloConfig};
 use rd_gan::{Discriminator, GanConfig, Generator};
 use rd_tensor::{Graph, ParamSet, PlanMeta, TrainPlan};
+use road_decals::cli::Args;
 
 /// One audited plan's statistics and findings.
 struct Report {
@@ -119,7 +119,8 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
-    let out: String = arg("--out", "target/PLAN_AUDIT.json".to_owned())?;
+    let args = Args::parse(&["--out"], &[])?;
+    let out: String = args.arg("--out", "target/PLAN_AUDIT.json".to_owned())?;
     let mut rng = StdRng::seed_from_u64(7);
     let mut reports = Vec::new();
     let mut orphan_msgs: Vec<String> = Vec::new();
@@ -232,7 +233,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         println!("    FAIL {m}");
     }
 
-    // --- JSON for scripts/perf_trajectory.sh -------------------------
+    // --- JSON report -------------------------------------------------
     let plans_json: Vec<String> = reports
         .iter()
         .map(|r| {

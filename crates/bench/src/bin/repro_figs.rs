@@ -6,7 +6,7 @@
 //!     [--checkpoint-every N] [--checkpoint-dir DIR] [--resume] [--deadline-secs N] [--max-retries N]
 //! ```
 
-use rd_bench::{arg, flag};
+use road_decals::cli::Args;
 use road_decals::experiments::{prepare_environment_with, run_figures, Scale};
 
 fn main() -> std::process::ExitCode {
@@ -20,21 +20,24 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
-    rd_bench::run_supervised("figures", || run_body().map_err(|e| e.to_string()))?;
+    let args = rd_bench::repro_args()?;
+    rd_bench::run_supervised("figures", &args, || {
+        run_body(&args).map_err(|e| e.to_string())
+    })?;
     Ok(())
 }
 
-fn run_body() -> Result<(), Box<dyn std::error::Error>> {
-    rd_bench::setup_substrate()?;
-    let scale: Scale = arg("--scale", "paper".to_owned())?.parse()?;
-    let seed: u64 = arg("--seed", 42)?;
-    let recovery = rd_bench::recovery_from_args()?;
-    let mut env = prepare_environment_with(scale, seed, recovery)?.with_audit(flag("--audit"));
+fn run_body(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+    rd_bench::setup_substrate(args)?;
+    let scale: Scale = args.arg("--scale", "paper".to_owned())?.parse()?;
+    let seed: u64 = args.arg("--seed", 42)?;
+    let recovery = rd_bench::recovery_from_args(args)?;
+    let mut env = prepare_environment_with(scale, seed, recovery)?.with_audit(args.flag("--audit"));
     let written = run_figures(&mut env, seed, "out/figures")?;
     println!("wrote {} figures:", written.len());
     for p in written {
         println!("  {}", p.display());
     }
-    rd_bench::report_substrate()?;
+    rd_bench::report_substrate(args)?;
     Ok(())
 }

@@ -5,7 +5,8 @@
 //!     [--checkpoint-every N] [--checkpoint-dir DIR] [--resume] [--deadline-secs N] [--max-retries N]
 //! ```
 
-use rd_bench::{arg, compare, flag, paper};
+use rd_bench::{compare, paper};
+use road_decals::cli::Args;
 use road_decals::experiments::{prepare_environment_with, run_table3, Scale};
 
 fn main() -> std::process::ExitCode {
@@ -19,16 +20,19 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
-    rd_bench::run_supervised("table3", || run_body().map_err(|e| e.to_string()))?;
+    let args = rd_bench::repro_args()?;
+    rd_bench::run_supervised("table3", &args, || {
+        run_body(&args).map_err(|e| e.to_string())
+    })?;
     Ok(())
 }
 
-fn run_body() -> Result<(), Box<dyn std::error::Error>> {
-    rd_bench::setup_substrate()?;
-    let scale: Scale = arg("--scale", "paper".to_owned())?.parse()?;
-    let seed: u64 = arg("--seed", 42)?;
-    let recovery = rd_bench::recovery_from_args()?;
-    let mut env = prepare_environment_with(scale, seed, recovery)?.with_audit(flag("--audit"));
+fn run_body(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+    rd_bench::setup_substrate(args)?;
+    let scale: Scale = args.arg("--scale", "paper".to_owned())?.parse()?;
+    let seed: u64 = args.arg("--seed", 42)?;
+    let recovery = rd_bench::recovery_from_args(args)?;
+    let mut env = prepare_environment_with(scale, seed, recovery)?.with_audit(args.flag("--audit"));
     println!(
         "victim detector class-accuracy: {:.2}\n",
         env.detector_accuracy
@@ -42,6 +46,6 @@ fn run_body() -> Result<(), Box<dyn std::error::Error>> {
         compare::row_dominates(&measured, "N=6", "N=8"),
         compare::monotone_decreasing(&measured, "N=4", &["slow", "normal", "fast"]),
     ]);
-    rd_bench::report_substrate()?;
+    rd_bench::report_substrate(args)?;
     Ok(())
 }

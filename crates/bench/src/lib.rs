@@ -8,9 +8,11 @@
 //!   paper-vs-measured side by side.
 //! * [`compare`] — qualitative "shape" checks (orderings, crossovers)
 //!   between a measured table and its paper counterpart.
-//! * `benches/` — criterion benchmarks for each table's distinctive
-//!   pipeline stage plus the substrate hot paths.
-//! * `src/bin/repro_table*.rs` — binaries that regenerate each table.
+//! * `src/bin/repro_table*.rs` — binaries that regenerate each table,
+//!   sharing one strict flag set ([`repro_args`]).
+//!
+//! Performance is measured by the standalone `perfbench/` package (see
+//! `perfbench/README.md`), not by this crate.
 
 #![warn(missing_docs)]
 
@@ -398,36 +400,35 @@ pub mod compare {
     }
 }
 
-/// Parses a `--name value` style CLI argument, falling back to `default`
-/// when the flag is absent.
+use road_decals::cli::Args;
+
+/// Value options every repro binary accepts: `--scale`, `--seed`, and
+/// the substrate, recovery and supervision knobs below.
+const REPRO_OPTIONS: &[&str] = &[
+    "--scale",
+    "--seed",
+    "--threads",
+    "--profile-json",
+    "--checkpoint-every",
+    "--checkpoint-dir",
+    "--deadline-secs",
+    "--max-retries",
+];
+
+/// Bare switches every repro binary accepts.
+const REPRO_SWITCHES: &[&str] = &["--audit", "--profile", "--resume"];
+
+/// Parses a repro binary's command line: `--scale`, `--seed`,
+/// `--audit`, and the substrate, recovery and supervision flags below.
 ///
 /// # Errors
 ///
-/// A flag that is present but missing its value, or whose value fails to
-/// parse, is a hard error — the binaries exit nonzero instead of
-/// silently running with the default.
-pub fn arg<T>(name: &str, default: T) -> Result<T, String>
-where
-    T: std::str::FromStr,
-    T::Err: std::fmt::Display,
-{
-    let args: Vec<String> = std::env::args().collect();
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(default);
-    };
-    let Some(v) = args.get(i + 1) else {
-        return Err(format!("{name} expects a value"));
-    };
-    v.parse()
-        .map_err(|e| format!("bad value '{v}' for {name}: {e}"))
+/// Returns a message naming any unknown flag or malformed argument.
+pub fn repro_args() -> Result<Args, String> {
+    Args::parse(REPRO_OPTIONS, REPRO_SWITCHES)
 }
 
-/// Tests for the presence of a bare `--name` CLI switch.
-pub fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-/// Parses the recovery switches every repro binary accepts:
+/// Reads the recovery switches every repro binary accepts:
 /// `--checkpoint-every N` writes a checkpoint every N optimizer steps
 /// (0 disables), `--checkpoint-dir DIR` picks where the per-stage files
 /// live (default `out/ckpt`), and `--resume` restarts each training
@@ -436,10 +437,12 @@ pub fn flag(name: &str) -> bool {
 /// # Errors
 ///
 /// Returns a message for malformed flag values.
-pub fn recovery_from_args() -> Result<road_decals::experiments::ExperimentRecovery, String> {
-    let checkpoint_every: u64 = arg("--checkpoint-every", 0)?;
-    let dir: String = arg("--checkpoint-dir", "out/ckpt".to_owned())?;
-    let resume = flag("--resume");
+pub fn recovery_from_args(
+    args: &Args,
+) -> Result<road_decals::experiments::ExperimentRecovery, String> {
+    let checkpoint_every: u64 = args.arg("--checkpoint-every", 0)?;
+    let dir: String = args.arg("--checkpoint-dir", "out/ckpt".to_owned())?;
+    let resume = args.flag("--resume");
     let checkpoint_dir = (checkpoint_every > 0 || resume).then(|| std::path::PathBuf::from(dir));
     Ok(road_decals::experiments::ExperimentRecovery {
         checkpoint_every,
@@ -456,21 +459,21 @@ pub fn recovery_from_args() -> Result<road_decals::experiments::ExperimentRecove
 /// [`rd_tensor::Runtime`]. Without either switch the body runs
 /// directly on the caller's runtime, exactly as before.
 ///
-/// The body should parse its own flags and call [`setup_substrate`] /
-/// [`report_substrate`] itself, so thread caps and profiling apply to
-/// the runtime the supervised attempt actually executes on.
+/// The body should call [`setup_substrate`] / [`report_substrate`]
+/// itself, so thread caps and profiling apply to the runtime the
+/// supervised attempt actually executes on.
 ///
 /// # Errors
 ///
 /// Returns the body's error, a deadline-exceeded message, or the last
 /// failure after the retry budget is exhausted.
-pub fn run_supervised<F>(name: &str, body: F) -> Result<(), String>
+pub fn run_supervised<F>(name: &str, args: &Args, body: F) -> Result<(), String>
 where
     F: FnMut() -> Result<(), String>,
 {
-    let deadline_secs: u64 = arg("--deadline-secs", 0)?;
-    let max_retries: u32 = arg("--max-retries", 0)?;
-    let threads: usize = arg("--threads", 0)?;
+    let deadline_secs: u64 = args.arg("--deadline-secs", 0)?;
+    let max_retries: u32 = args.arg("--max-retries", 0)?;
+    let threads: usize = args.arg("--threads", 0)?;
     road_decals::supervise_main(name, deadline_secs, max_retries, threads, body)
 }
 
@@ -481,37 +484,14 @@ where
 /// # Errors
 ///
 /// Returns a message for malformed flag values.
-pub fn setup_substrate() -> Result<(), String> {
-    let threads: usize = arg("--threads", 0)?;
+pub fn setup_substrate(args: &Args) -> Result<(), String> {
+    let threads: usize = args.arg("--threads", 0)?;
     rd_tensor::parallel::set_max_threads(threads);
-    if flag("--profile") {
+    if args.flag("--profile") {
         rd_tensor::profile::reset();
         rd_tensor::profile::set_enabled(true);
     }
     Ok(())
-}
-
-/// Renders the current runtime configuration as a JSON object fragment
-/// — worker threads requested and effective (after the host clamp), the
-/// execution tier, and the supervision knobs (`--deadline-secs`,
-/// `--max-retries`) — so every benchmark section records the exact
-/// runtime shape it measured under.
-///
-/// # Errors
-///
-/// Returns a message for malformed supervision flag values.
-pub fn runtime_config_json() -> Result<String, String> {
-    let deadline_secs: u64 = arg("--deadline-secs", 0)?;
-    let max_retries: u32 = arg("--max-retries", 0)?;
-    Ok(format!(
-        "{{ \"threads_requested\": {}, \"threads_effective\": {}, \"tier\": \"{}\", \
-         \"deadline_secs\": {}, \"max_retries\": {} }}",
-        rd_tensor::parallel::requested_max_threads(),
-        rd_tensor::parallel::max_threads(),
-        rd_tensor::tier::current().label(),
-        deadline_secs,
-        max_retries,
-    ))
 }
 
 /// Prints the per-op profiler report when `--profile` is on; with
@@ -521,12 +501,12 @@ pub fn runtime_config_json() -> Result<String, String> {
 /// # Errors
 ///
 /// Returns a message when the profile JSON cannot be written.
-pub fn report_substrate() -> Result<(), String> {
+pub fn report_substrate(args: &Args) -> Result<(), String> {
     if !rd_tensor::profile::enabled() {
         return Ok(());
     }
     println!("\n{}", rd_tensor::profile::report_text());
-    let path: String = arg("--profile-json", String::new())?;
+    let path: String = args.arg("--profile-json", String::new())?;
     if !path.is_empty() {
         std::fs::write(&path, rd_tensor::profile::report_json())
             .map_err(|e| format!("cannot write profile json {path}: {e}"))?;
@@ -581,6 +561,21 @@ mod tests {
             ),
         ];
         assert!(checks.iter().all(|c| c.holds), "{checks:?}");
+    }
+
+    #[test]
+    fn repro_flags_reject_a_misspelled_resume() {
+        let parse = |args: &[&str]| {
+            Args::parse_from(
+                args.iter().map(|s| s.to_string()),
+                REPRO_OPTIONS,
+                REPRO_SWITCHES,
+            )
+        };
+        let ok = parse(&["--scale", "smoke", "--resume"]).unwrap();
+        assert!(ok.flag("--resume"));
+        let err = parse(&["--scale", "smoke", "--resmue"]).unwrap_err();
+        assert!(err.contains("--resmue"), "{err}");
     }
 
     #[test]

@@ -335,8 +335,7 @@ fn eval_frame(
     // TrainPlan with parameter-gradient work skipped and bridges the
     // image gradient back onto this tape through one custom node; audit
     // runs force the tape so lint/provenance see the full graph. Both
-    // routes are bitwise-identical (asserted in tests, gated in
-    // bench_substrate).
+    // routes are bitwise-identical (asserted in tests).
     let use_compiled = ctx.cfg.compiled && !ctx.cfg.audit && !lint_tape;
     let lf = if use_compiled {
         if job.cc.is_empty() && job.fc.is_empty() {
@@ -1220,6 +1219,33 @@ mod tests {
             compiled.decal.channel_data(),
             tape.decal.channel_data(),
             "trained decal diverged"
+        );
+    }
+
+    #[test]
+    fn one_attack_step_is_profiled() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut ps_det = ParamSet::new();
+        let detector = TinyYolo::new(&mut ps_det, &mut rng, rd_detector::YoloConfig::smoke());
+        let scenario = AttackScenario::parking_lot(CameraRig::smoke(), 2, 60, 16, 5);
+        let cfg = AttackConfig {
+            steps: 1,
+            clips_per_batch: 1,
+            ..AttackConfig::smoke()
+        };
+        let rt = rd_tensor::Runtime::new(rd_tensor::RuntimeConfig {
+            profiling: true,
+            ..rd_tensor::RuntimeConfig::default()
+        });
+        let snap = rt.enter(|| {
+            train_decal_attack(&scenario, &detector, &mut ps_det, &cfg);
+            rd_tensor::profile::snapshot()
+        });
+        // forward and backward ops are both attributed to op paths
+        assert!(!snap.is_empty(), "profiler captured no op paths");
+        assert!(
+            snap.iter().any(|(k, _)| k.ends_with("bwd")),
+            "profiler captured no backward op paths"
         );
     }
 

@@ -9,7 +9,7 @@
 //! oracle* behind [`EvalMode::Buffered`]; both paths draw the per-run
 //! RNG in the same order and batch the same 16-frame groups, so their
 //! results are bitwise-identical at any thread count and on either
-//! execution tier (enforced by tests and `bench_substrate`).
+//! execution tier (enforced by `tests/stream_eval.rs`).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -76,12 +76,15 @@ impl Scale {
         }
     }
 
-    /// The weight-cache file for this scale.
-    pub fn cache_path(self) -> std::path::PathBuf {
-        std::path::PathBuf::from(match self {
-            Scale::Smoke => "out/detector_smoke.rdw",
-            Scale::Paper => "out/detector_paper.rdw",
-        })
+    /// The weight-cache file for the detector trained at this scale
+    /// from `seed`. Each (scale, seed) pair trains different weights, so
+    /// each gets its own file.
+    pub fn cache_path(self, seed: u64) -> std::path::PathBuf {
+        let scale = match self {
+            Scale::Smoke => "smoke",
+            Scale::Paper => "paper",
+        };
+        PathBuf::from(format!("out/detector_{scale}_seed{seed}.rdw"))
     }
 }
 
@@ -270,7 +273,7 @@ pub fn prepare_environment_with(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut params = ParamSet::new();
     let detector = TinyYolo::new(&mut params, &mut rng, scale.yolo());
-    let cache = scale.cache_path();
+    let cache = scale.cache_path(seed);
     let mut loaded = false;
     if cache.exists() {
         match std::fs::read(&cache) {
@@ -366,6 +369,15 @@ mod tests {
         );
         assert_eq!(opts.checkpoint_every, 5);
         assert!(opts.resume);
+    }
+
+    #[test]
+    fn two_seeds_never_share_a_weight_cache() {
+        let paths: std::collections::HashSet<PathBuf> = [Scale::Smoke, Scale::Paper]
+            .into_iter()
+            .flat_map(|scale| [3, 11, 42].map(|seed| scale.cache_path(seed)))
+            .collect();
+        assert_eq!(paths.len(), 6);
     }
 
     #[test]

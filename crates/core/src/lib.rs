@@ -16,7 +16,8 @@
 //! * [`experiments`] — one entry point per paper table and figure;
 //! * [`supervisor`] — isolated concurrent jobs on per-job
 //!   [`rd_tensor::Runtime`]s: panic quarantine, deadlines,
-//!   retry/backoff and fast-tier demotion around [`runner`].
+//!   retry/backoff and fast-tier demotion around [`runner`];
+//! * [`cli`] — the strict flag parser every binary shares.
 //!
 //! # Examples
 //!
@@ -43,6 +44,7 @@
 pub mod annotate;
 pub mod attack;
 pub mod baseline;
+pub mod cli;
 pub mod decal;
 pub mod defense;
 pub mod eval;

@@ -27,8 +27,9 @@
 //! * capture randomness is pre-sampled in the exact draw order of the
 //!   interleaved path ([`CaptureModel::sample_draws`]).
 //!
-//! The property test `render_fastpath.rs` and the `bench_substrate`
-//! `--render-out` gate enforce this end to end on both SIMD backends.
+//! `tests/render_fastpath.rs` enforces this end to end on both SIMD
+//! backends: a property test against the fresh path and a frame-digest
+//! table captured from the seed-era renderer.
 //!
 //! # Sharing
 //!

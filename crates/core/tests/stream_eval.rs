@@ -1,12 +1,13 @@
 //! Gates on the streaming evaluation pipeline (PR 9): the streamed path
 //! must be bitwise-identical to the buffered reference oracle at any
-//! thread count and on either execution tier, its live-frame memory must
-//! be bounded by one chunk pair regardless of drive length, and the
-//! fleet driver must account for every drive.
+//! thread count, on either execution tier and on a noiseless or a
+//! noise-bearing capture channel; its live-frame memory must be bounded
+//! by one chunk pair regardless of drive length, and the fleet driver
+//! must account for every drive.
 
 use std::time::Duration;
 
-use rd_scene::{CameraRig, ObjectClass, RotationSetting, Speed};
+use rd_scene::{CameraRig, ObjectClass, PhysicalChannel, RotationSetting, Speed};
 use rd_tensor::{Runtime, RuntimeConfig, Tier};
 use rd_vision::shapes::{mask, Shape};
 use rd_vision::Plane;
@@ -45,47 +46,58 @@ fn chunky_cfg(seed: u64) -> EvalConfig {
 #[test]
 fn streamed_matches_buffered_bitwise_across_tiers_and_threads() {
     let (env, scenario, decals) = setup();
-    let cfg = chunky_cfg(7);
-    for tier in [Tier::Reference, Tier::Fast] {
-        for threads in [1usize, 4] {
-            let rt = Runtime::new(RuntimeConfig {
-                threads,
-                tier,
-                profiling: false,
-            });
-            let eval = |mode| {
-                rt.enter(|| {
-                    evaluate_challenge_traced(
-                        &scenario,
-                        &decals,
-                        &env.detector,
-                        &env.params,
-                        ObjectClass::Bicycle,
-                        Challenge::Rotation(RotationSetting::Slight),
-                        &cfg,
-                        mode,
-                    )
-                })
-            };
-            let (s_out, s_trace) = eval(EvalMode::Streamed);
-            let (b_out, b_trace) = eval(EvalMode::Buffered);
-            let ctx = format!("tier {tier:?}, {threads} threads");
-            assert_eq!(
-                s_out.cell.pwc.to_bits(),
-                b_out.cell.pwc.to_bits(),
-                "PWC drifted ({ctx})"
-            );
-            assert_eq!(s_out.cell.cwc, b_out.cell.cwc, "CWC drifted ({ctx})");
-            assert_eq!(
-                s_out.victim_detected.to_bits(),
-                b_out.victim_detected.to_bits(),
-                "victim rate drifted ({ctx})"
-            );
-            assert_eq!(s_out.frames_per_run, b_out.frames_per_run, "{ctx}");
-            assert_eq!(
-                s_trace, b_trace,
-                "per-frame detections drifted between streamed and buffered ({ctx})"
-            );
+    // the digital channel draws no capture noise; the simulated one puts
+    // the blur/noise kernels and the pre-sampled draw streams on the path
+    let channels = [
+        ("digital", PhysicalChannel::digital()),
+        ("simulated", PhysicalChannel::simulated()),
+    ];
+    for (label, channel) in channels {
+        let cfg = EvalConfig {
+            channel,
+            ..chunky_cfg(7)
+        };
+        for tier in [Tier::Reference, Tier::Fast] {
+            for threads in [1usize, 4] {
+                let rt = Runtime::new(RuntimeConfig {
+                    threads,
+                    tier,
+                    profiling: false,
+                });
+                let eval = |mode| {
+                    rt.enter(|| {
+                        evaluate_challenge_traced(
+                            &scenario,
+                            &decals,
+                            &env.detector,
+                            &env.params,
+                            ObjectClass::Bicycle,
+                            Challenge::Rotation(RotationSetting::Slight),
+                            &cfg,
+                            mode,
+                        )
+                    })
+                };
+                let (s_out, s_trace) = eval(EvalMode::Streamed);
+                let (b_out, b_trace) = eval(EvalMode::Buffered);
+                let ctx = format!("{label} channel, tier {tier:?}, {threads} threads");
+                assert_eq!(
+                    s_out.cell.pwc.to_bits(),
+                    b_out.cell.pwc.to_bits(),
+                    "PWC drifted ({ctx})"
+                );
+                assert_eq!(s_out.cell.cwc, b_out.cell.cwc, "CWC drifted ({ctx})");
+                assert_eq!(
+                    s_out.victim_detected.to_bits(),
+                    b_out.victim_detected.to_bits(),
+                    "victim rate drifted ({ctx})"
+                );
+                assert_eq!(s_out.frames_per_run, b_out.frames_per_run, "{ctx}");
+                assert_eq!(
+                    s_trace, b_trace,
+                    "per-frame detections drifted between streamed and buffered ({ctx})"
+                );
+            }
         }
     }
 }

@@ -42,26 +42,19 @@ use rd_scene::dataset::{generate, DatasetConfig};
 use rd_scene::CameraRig;
 use rd_tensor::optim::StepOutcome;
 use rd_tensor::{io, ParamSet};
+use road_decals::cli::Args;
 
-fn arg<T>(name: &str, default: T) -> Result<T, String>
-where
-    T: std::str::FromStr,
-    T::Err: std::fmt::Display,
-{
-    let args: Vec<String> = std::env::args().collect();
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(default);
-    };
-    let Some(v) = args.get(i + 1) else {
-        return Err(format!("{name} expects a value"));
-    };
-    v.parse()
-        .map_err(|e| format!("bad value '{v}' for {name}: {e}"))
-}
-
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
+const OPTIONS: &[&str] = &[
+    "--images",
+    "--epochs",
+    "--out",
+    "--checkpoint-every",
+    "--checkpoint",
+    "--threads",
+    "--deadline-secs",
+    "--max-retries",
+];
+const SWITCHES: &[&str] = &["--audit", "--profile", "--no-compiled", "--resume"];
 
 fn main() -> ExitCode {
     match run() {
@@ -74,26 +67,27 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), Box<dyn Error>> {
+    let args = Args::parse(OPTIONS, SWITCHES)?;
     road_decals::supervise_main(
         "train_detector",
-        arg("--deadline-secs", 0)?,
-        arg("--max-retries", 0)?,
-        arg("--threads", 0)?,
-        || run_body().map_err(|e| e.to_string()),
+        args.arg("--deadline-secs", 0)?,
+        args.arg("--max-retries", 0)?,
+        args.arg("--threads", 0)?,
+        || run_body(&args).map_err(|e| e.to_string()),
     )?;
     Ok(())
 }
 
-fn run_body() -> Result<(), Box<dyn Error>> {
-    let n_images: usize = arg("--images", 600)?;
-    let epochs: usize = arg("--epochs", 6)?;
-    let out: String = arg("--out", "out/detector.rdw".to_owned())?;
-    let ck_every: u64 = arg("--checkpoint-every", 0)?;
-    let ck_path: String = arg("--checkpoint", "out/detector.rdc".to_owned())?;
-    let resume = flag("--resume");
-    let audit = flag("--audit");
-    rd_tensor::parallel::set_max_threads(arg("--threads", 0)?);
-    let profile = flag("--profile");
+fn run_body(args: &Args) -> Result<(), Box<dyn Error>> {
+    let n_images: usize = args.arg("--images", 600)?;
+    let epochs: usize = args.arg("--epochs", 6)?;
+    let out: String = args.arg("--out", "out/detector.rdw".to_owned())?;
+    let ck_every: u64 = args.arg("--checkpoint-every", 0)?;
+    let ck_path: String = args.arg("--checkpoint", "out/detector.rdc".to_owned())?;
+    let resume = args.flag("--resume");
+    let audit = args.flag("--audit");
+    rd_tensor::parallel::set_max_threads(args.arg("--threads", 0)?);
+    let profile = args.flag("--profile");
     if profile {
         rd_tensor::profile::set_enabled(true);
     }
@@ -136,7 +130,7 @@ fn run_body() -> Result<(), Box<dyn Error>> {
         seed: 7,
         clip: 10.0,
         log_every: 0,
-        compiled: !flag("--no-compiled"),
+        compiled: !args.flag("--no-compiled"),
     };
     let t0 = Instant::now();
     let mut trainer = DetectorTrainer::new(&model, &mut ps, &train_set, cfg);

@@ -30,7 +30,7 @@ pub fn head_specs() -> [HeadSpec; 2] {
 }
 
 /// Shape-only IoU between two boxes of the given sizes (both centred at
-/// the origin) — the criterion for anchor assignment.
+/// the origin) — the rule for anchor assignment.
 pub fn shape_iou(w1: f32, h1: f32, w2: f32, h2: f32) -> f32 {
     let inter = w1.min(w2) * h1.min(h2);
     let union = w1 * h1 + w2 * h2 - inter;

@@ -171,7 +171,7 @@ impl ConfirmState {
 }
 
 /// Offline helper: does `history` contain `window` consecutive frames of
-/// `class`? This is exactly the paper's CWC criterion.
+/// `class`? This is exactly the paper's CWC condition.
 pub fn has_consecutive(history: &[Option<ObjectClass>], class: ObjectClass, window: usize) -> bool {
     let mut run = 0usize;
     for &h in history {

@@ -6,7 +6,7 @@
 //! across frames by IoU, each track carries its own [`Confirmer`], and a
 //! track surfaces as [`TrackState::Confirmed`] only after its class has
 //! been stable for the confirmation window. The decal attack's CWC
-//! criterion is exactly "some track confirms the target class".
+//! condition is exactly "some track confirms the target class".
 
 use rd_scene::{GtBox, ObjectClass};
 

@@ -1,17 +1,16 @@
 //! Fast-tier equivalence on the full detector: the f32x8 tier's head
 //! outputs must stay within the static `f32x8-fma` ulp certificate of
-//! the reference tier, and the reference tier must stay bitwise equal
-//! to the tape.
+//! the reference tier and be bitwise thread-count invariant, and the
+//! reference tier must stay bitwise equal to the tape.
 //!
-//! The execution tier is a process-global switch, so this file holds a
-//! single `#[test]` — it owns its test process and can toggle the tier
-//! without racing other tests.
+//! Each execution tier runs on its own [`Runtime`], so nothing here
+//! touches process-global state.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rd_analysis::{certify_logit_bounds, KernelModel};
 use rd_detector::{postprocess, TinyYolo, YoloConfig};
-use rd_tensor::{tier, Graph, ParamSet, Tensor, Tier};
+use rd_tensor::{Graph, ParamSet, Runtime, RuntimeConfig, Tensor, Tier};
 
 /// Smoke-scale detector with every parameter randomized (running
 /// variances kept positive), as in the infer equivalence suite.
@@ -49,20 +48,38 @@ fn fast_tier_stays_within_the_static_certificate() {
         assert!(b.max_abs_err.is_finite() && b.max_abs_err > 0.0);
     }
 
-    // Reference tier (the default): bitwise equal to the tape.
-    assert_eq!(tier::current(), Tier::Reference);
-    let (rc, rf) = model.infer(&ps, &x);
+    let infer_on = |tier: Tier, threads: usize| {
+        let rt = Runtime::new(RuntimeConfig {
+            threads,
+            tier,
+            profiling: false,
+        });
+        rt.enter(|| model.infer(&ps, &x))
+    };
+
+    // Reference tier: bitwise equal to the tape.
+    let (rc, rf) = infer_on(Tier::Reference, 1);
     let mut g = Graph::new();
     let xv = g.input(x.clone());
     let out = model.forward_frozen(&mut g, &ps, xv);
     assert_eq!(g.value(out.coarse).data(), rc.data());
     assert_eq!(g.value(out.fine).data(), rf.data());
 
-    // Fast tier: each head within its certified max-abs divergence.
-    tier::set_tier(Tier::Fast);
-    let (fc, ff) = model.infer(&ps, &x);
-    tier::set_tier(Tier::Reference);
+    // Fast tier: bitwise equal at 1 and 4 threads.
+    let (fc, ff) = infer_on(Tier::Fast, 1);
+    let (fc4, ff4) = infer_on(Tier::Fast, 4);
+    assert_eq!(
+        fc.data(),
+        fc4.data(),
+        "fast-tier coarse head drifted 1 vs 4 threads"
+    );
+    assert_eq!(
+        ff.data(),
+        ff4.data(),
+        "fast-tier fine head drifted 1 vs 4 threads"
+    );
 
+    // Fast tier: each head within its certified max-abs divergence.
     for (root, (refh, fasth)) in [(&rc, &fc), (&rf, &ff)].into_iter().enumerate() {
         let cert = bounds[root].max_abs_err;
         let mut worst = 0.0f64;
@@ -76,12 +93,14 @@ fn fast_tier_stays_within_the_static_certificate() {
     }
 
     // Decoded detections must not drift: same count, class, head and
-    // near-identical boxes per image.
+    // near-identical boxes per image. Every image must decode at least
+    // one detection, or the comparison would be vacuous.
     let nc = model.config().num_classes;
     let dref = postprocess(&rc, &rf, nc, 0.25, 0.45);
     let dfast = postprocess(&fc, &ff, nc, 0.25, 0.45);
     assert_eq!(dref.len(), dfast.len());
     for (img_r, img_f) in dref.iter().zip(&dfast) {
+        assert!(!img_r.is_empty(), "an image decoded no detections");
         assert_eq!(img_r.len(), img_f.len(), "detection count drifted");
         for (a, b) in img_r.iter().zip(img_f) {
             assert_eq!(a.class, b.class);

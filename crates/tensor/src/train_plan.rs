@@ -41,7 +41,7 @@
 //! deltas are `±0.0` signs from dropped `0.0 + x` folds, which the
 //! downstream scatter-adds re-fold before any gradient escapes — so
 //! compiled-vs-tape identity and 1-vs-N-thread determinism both hold
-//! bit for bit (asserted in tests and gated in `bench_substrate`).
+//! bit for bit (asserted in tests).
 //!
 //! ## Execution tiers
 //!
