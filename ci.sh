@@ -54,7 +54,8 @@ cargo test --release -q -p rd-detector --test infer
 
 echo "==> tier equivalence (f32x8 fast tier vs scalar reference, certificate gate)"
 # The PR 7 contract at test granularity: per-kernel proptests hold the
-# SIMD kernels within the certified ulp bound of the scalar oracle, the
+# SIMD kernels within the certified ulp bound of the scalar oracle (and
+# the reference tier's ordered AVX2 GEMM bitwise equal to it), the
 # runtime dispatcher falls back cleanly without AVX2/FMA, and the
 # end-to-end detector test checks observed logit divergence against the
 # static rd-analysis certificate with zero decoded-detection drift.
@@ -76,8 +77,22 @@ RD_NO_SIMD=1 cargo test --release -q -p road-decals --test render_fastpath
 echo "==> compiled training step equivalence (TrainPlan vs tape, 1 and 4 threads)"
 # The PR 5 contract at test granularity: full training runs through the
 # compiled plan retrace the tape bitwise (losses, gradients, updated
-# parameters including BN running stats) at 1 and 4 threads.
+# parameters including BN running stats) at 1 and 4 threads — on the
+# AVX2 reference GEMMs and with the portable scalar ones forced.
 cargo test --release -q -p rd-detector --test train_compiled
+RD_NO_SIMD=1 cargo test --release -q -p rd-detector --test train_compiled
+
+echo "==> reference GEMM bit pinning (digest table, both backends)"
+# The tape and the compiled engines share the reference conv GEMMs, so
+# their equivalence gates cannot see a kernel that drifts. This pins the
+# kernels' outputs on the detector's conv shapes and ragged/special-value
+# edges, plus a short compiled fine-tune and attack, to digests captured
+# from the scalar kernels — the AVX2 and the portable backend must both
+# reach them — and re-runs the 1-vs-N-thread determinism suite on the
+# portable backend.
+cargo test --release -q --test reference_digests
+RD_NO_SIMD=1 cargo test --release -q --test reference_digests
+RD_NO_SIMD=1 cargo test --release -q --test determinism
 
 echo "==> grad audit (every op's backward vs central differences)"
 cargo run --release -q -p rd-analysis --bin grad_audit

@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use rd_scene::{CameraRig, ObjectClass, PhysicalChannel, RotationSetting, Speed};
-use rd_tensor::{Runtime, RuntimeConfig, Tier};
+use rd_tensor::{parallel, Runtime, RuntimeConfig, Tier};
 use rd_vision::shapes::{mask, Shape};
 use rd_vision::Plane;
 
@@ -190,17 +190,49 @@ fn arena_high_water_does_not_scale_with_drive_length() {
         });
         rt.arena_high_water()
     };
+    // The drive's arena budget, stage by stage, in f32 elements. The
+    // rendezvous channel lets the producer run at most one chunk ahead
+    // of the consumer, so the budget holds for every interleaving of
+    // the two, whatever the drive length.
+    let (h, w) = scenario.rig.image_hw;
+    let frame = 3 * h * w;
+    let chunk = BATCH_FRAMES * frame;
+    // producer: the chunk it is rendering (or holding at the
+    // rendezvous), plus one RGB scratch plane per render in flight —
+    // the camera warp, decal compositing and capture blur each borrow
+    // at most `frame` elements and return them before the next step.
+    // The digital channel samples no capture noise.
+    let renders = Runtime::new(RuntimeConfig::default())
+        .enter(parallel::max_threads)
+        .min(parallel::groups_for(BATCH_FRAMES));
+    let producer = chunk + renders * frame;
+    // consumer: its chunk's frames until they are batched, then the
+    // batch, the inference plan's buffers for each worker group (every
+    // slot plus the largest conv's columns) and the two head outputs.
+    let meta = env.detector.infer_plan(&env.params).meta();
+    let cols = meta
+        .ops
+        .iter()
+        .filter_map(|op| op.conv.map(|g| g.cin * g.kh * g.kw * g.ho * g.wo))
+        .max()
+        .unwrap_or(0);
+    let per_group = meta.slots.iter().map(|s| s.len).sum::<usize>() + cols;
+    let head_len: usize = meta.outputs.iter().map(|&o| meta.slots[o].len).sum();
+    let heads = BATCH_FRAMES * head_len;
+    let infer = parallel::groups_for(BATCH_FRAMES) * per_group + heads;
+    let consumer = chunk + chunk.max(infer);
+    let budget = producer + consumer;
     // frame buffers are arena-backed (FrameRenderer), so the pipeline's
     // steady state — one chunk rendering while another is inferred —
-    // first appears at two chunks; measure from there
-    let short = high_water(2 * BATCH_FRAMES);
-    let long = high_water(6 * BATCH_FRAMES);
-    // frame and inference scratch is recycled chunk to chunk: a 3x
-    // longer drive may not demand a meaningfully deeper arena
-    assert!(
-        long <= short + short / 8,
-        "arena high water scaled with drive length: {short} -> {long}"
-    );
+    // first appears at two chunks; a 6-chunk drive must fit the same
+    // budget (anything retained per chunk would add a chunk's worth)
+    for chunks in [2, 6] {
+        let mark = high_water(chunks * BATCH_FRAMES);
+        assert!(
+            mark <= budget,
+            "{chunks}-chunk drive: arena high water {mark} exceeds the per-stage budget {budget}"
+        );
+    }
 }
 
 #[test]

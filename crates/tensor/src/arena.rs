@@ -13,7 +13,9 @@
 //!   values from a previous tape can never leak into a new forward.
 //! - [`recycle`] takes ownership back. Callers must not recycle a
 //!   buffer that is still referenced anywhere (the type system enforces
-//!   this — `recycle` consumes the `Vec`).
+//!   this — `recycle` consumes the `Vec`), and hand it back at the
+//!   length it was taken at: the loan count behind [`high_water`] is
+//!   kept in requested lengths.
 //! - [`ScratchBuf`] is the RAII convenience: it recycles on drop.
 //!
 //! The pool lives on the [`crate::runtime::Runtime`] that is current at
@@ -53,8 +55,11 @@ pub(crate) struct ArenaState {
     misses: AtomicUsize,
     poison_discards: AtomicUsize,
     quarantined: AtomicBool,
-    /// `f32` elements currently loaned out (taken, not yet recycled).
-    /// Only arena-sized buffers (`len >= MIN_LEN`) are counted.
+    /// `f32` elements currently loaned out (taken, not yet recycled),
+    /// counted at the length each buffer was requested at — not its
+    /// capacity, which depends on what the best-fit pool happened to
+    /// hold at that moment. Only arena-sized buffers (`len >= MIN_LEN`)
+    /// are counted.
     loaned_elems: AtomicUsize,
     /// Highest `loaned_elems` ever observed — the arena's live-memory
     /// high-water mark, used by the bounded-memory streaming gate.
@@ -102,21 +107,21 @@ impl ArenaState {
         }
     }
 
-    /// Records `cap` more loaned-out elements and pushes the high-water
+    /// Records `len` more loaned-out elements and pushes the high-water
     /// mark. Called on every take of an arena-sized buffer.
-    fn note_loan(&self, cap: usize) {
-        let now = self.loaned_elems.fetch_add(cap, Ordering::Relaxed) + cap;
+    fn note_loan(&self, len: usize) {
+        let now = self.loaned_elems.fetch_add(len, Ordering::Relaxed) + len;
         self.high_water_elems.fetch_max(now, Ordering::Relaxed);
     }
 
-    /// Records `cap` elements returned. Saturating: a caller may
+    /// Records `len` elements returned. Saturating: a caller may
     /// recycle a buffer the arena never handed out (fresh `Vec`s are
     /// accepted too), so the loan counter must not underflow.
-    fn note_return(&self, cap: usize) {
+    fn note_return(&self, len: usize) {
         let _ = self
             .loaned_elems
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                Some(n.saturating_sub(cap))
+                Some(n.saturating_sub(len))
             });
     }
 
@@ -142,21 +147,20 @@ impl ArenaState {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 buf.clear();
                 buf.resize(len, value);
-                self.note_loan(buf.capacity());
+                self.note_loan(len);
                 return buf;
             }
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
-        let buf = vec![value; len];
         if len >= MIN_LEN {
-            self.note_loan(buf.capacity());
+            self.note_loan(len);
         }
-        buf
+        vec![value; len]
     }
 
     fn recycle(&self, buf: Vec<f32>) {
-        if buf.capacity() >= MIN_LEN {
-            self.note_return(buf.capacity());
+        if buf.len() >= MIN_LEN {
+            self.note_return(buf.len());
         }
         if buf.capacity() < MIN_LEN || self.quarantined.load(Ordering::SeqCst) {
             return;
@@ -249,8 +253,11 @@ pub fn reset() {
 /// The current runtime's arena high-water mark: the maximum number of
 /// `f32` elements simultaneously checked out of the arena since the
 /// runtime was created (or [`reset_high_water`]). Only arena-sized
-/// buffers (`len >= MIN_LEN`) count; this is the live-scratch-memory
-/// figure the streaming evaluation's bounded-memory gate asserts on.
+/// buffers (`len >= MIN_LEN`) count, each at its requested length, so
+/// the mark depends on which loans overlap and never on which pooled
+/// buffer a request happened to be handed; this is the
+/// live-scratch-memory figure the streaming evaluation's bounded-memory
+/// gate asserts on.
 pub fn high_water() -> usize {
     runtime::current().inner_arena(|a| a.high_water())
 }
@@ -456,7 +463,7 @@ mod tests {
             recycle(vec![1.0; 4096]);
             recycle(vec![1.0; 4096]);
             let v = take(2048);
-            assert_eq!(high_water(), v.capacity());
+            assert_eq!(high_water(), v.len());
             recycle(v);
         });
     }

@@ -62,7 +62,7 @@
 pub mod arena;
 mod bnorm;
 pub mod check;
-mod conv;
+pub mod conv;
 mod graph;
 pub mod infer;
 pub mod init;

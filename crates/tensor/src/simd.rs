@@ -18,6 +18,13 @@
 //! logits. The equivalence proptests at the bottom of this module
 //! check exactly that bound per kernel.
 //!
+//! The rest are **tier-neutral and bitwise**: `OrderedGemm` (the
+//! reference tier's conv GEMMs) and the render kernels
+//! ([`sparse_gather`], [`add_scaled_clamp`], [`box_blur_vertical`]). They keep the scalar code's per-element
+//! operation order, with separate `mul` + `add` and never FMA, so both
+//! backends and both tiers produce the same bits and need no
+//! certificate.
+//!
 //! # Backends
 //!
 //! [`backend`] picks once per process:
@@ -160,6 +167,82 @@ pub fn gemm_tn_over(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n
         // SAFETY: AVX2+FMA presence established by `backend()`.
         Backend::Avx2Fma => unsafe { avx2::gemm_tn_over(a, b, out, k, m, n) },
         Backend::Portable => portable::gemm_tn_over(a, b, out, k, m, n),
+    }
+}
+
+/// The per-element f32 sequence of [`OrderedGemm::run`]. Every mode
+/// sums its terms `a[i,p]·b[p,j]` in ascending `p`, one `mul` and one
+/// `add` per term.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Ordered {
+    /// `out = Σ` with the sum starting at `+0.0` and terms where
+    /// `a == 0.0` skipped: conv forward's `conv_gemm`.
+    Assign,
+    /// `out += Σ` with the sum starting at `+0.0` and no term skipped:
+    /// conv backward's grad-weight `gemm_nt`.
+    Accumulate,
+    /// `out = Σ` where the first term *is* the starting value (`+0.0`
+    /// when `a[i,0] == 0.0`), so even the sign of a zero product
+    /// survives; later terms skip `a == 0.0`: conv backward's
+    /// grad-input `gemm_tn_over`.
+    AssignPeeled,
+}
+
+/// The AVX2 order-preserving GEMM of the reference tier.
+///
+/// Unlike the fast-tier kernels above, this one is **bitwise identical**
+/// to the scalar GEMMs in [`crate::conv`]: per output element it runs
+/// the exact [`Ordered`] sequence with separate `_mm256_mul_ps` +
+/// `_mm256_add_ps` (never FMA), and vectorizes only across output
+/// columns, so no sum is re-associated. It needs no ulp certificate and
+/// is dispatched on the backend alone, whatever the tier.
+///
+/// A value of this type exists only on hosts whose runtime check found
+/// AVX2, so [`OrderedGemm::run`] is safe to call.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OrderedGemm {
+    _checked: (),
+}
+
+impl OrderedGemm {
+    /// The kernel when this process's [`backend`] is AVX2, else `None`
+    /// (the caller then runs its scalar spec).
+    pub fn get() -> Option<Self> {
+        Self::on(backend())
+    }
+
+    /// Only a [`Backend`] obtained from [`Backend::select`] may reach
+    /// this: `Avx2Fma` is proof of the runtime feature check.
+    fn on(backend: Backend) -> Option<Self> {
+        (backend == Backend::Avx2Fma).then_some(OrderedGemm { _checked: () })
+    }
+
+    /// `out[m,n] (=|+=) a[m,k] × b[k,n]` with each element's f32
+    /// sequence fixed by `mode`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice is shorter than its `m`/`k`/`n` extent.
+    pub fn run(
+        self,
+        mode: Ordered,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let holds = |len: usize, rows: usize, cols: usize| {
+            rows.checked_mul(cols).is_some_and(|need| len >= need)
+        };
+        assert!(
+            holds(a.len(), m, k) && holds(b.len(), k, n) && holds(out.len(), m, n),
+            "ordered gemm: operands shorter than m={m} k={k} n={n}"
+        );
+        // SAFETY: `self` exists only after `backend()` detected AVX2;
+        // the assert above bounds every pointer the kernel forms.
+        unsafe { avx2::gemm_ordered(mode, a, b, out, m, k, n) }
     }
 }
 
@@ -964,6 +1047,254 @@ mod avx2 {
         }
     }
 
+    /// Rows per register tile of the ordered GEMM.
+    const OR: usize = 4;
+
+    /// AVX2 [`super::OrderedGemm::run`]: 16-column panels (two f32x8
+    /// vectors, the last one masked on a ragged edge) × [`OR`]-row
+    /// register tiles, each output element's sum held in one lane from
+    /// start to store.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and `a`/`b`/`out` holding at least `m·k`/`k·n`/`m·n`
+    /// elements.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gemm_ordered(
+        mode: super::Ordered,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        use super::Ordered;
+        let (a, b, o) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+        match mode {
+            Ordered::Assign => ordered_blocks::<true, false, false>(a, b, o, m, k, n),
+            Ordered::Accumulate => ordered_blocks::<false, false, true>(a, b, o, m, k, n),
+            Ordered::AssignPeeled => ordered_blocks::<true, true, false>(a, b, o, m, k, n),
+        }
+    }
+
+    /// Walks the output in [`OR`]-row blocks (one shorter block at the
+    /// ragged end). A block whose `a` rows hold no `0.0` runs the
+    /// non-skipping tile: with nothing to skip both sequences are the
+    /// same, and the common case then pays no per-term test.
+    ///
+    /// # Safety
+    ///
+    /// As [`gemm_ordered`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn ordered_blocks<const SKIP: bool, const PEEL: bool, const ACC: bool>(
+        a: *const f32,
+        b: *const f32,
+        o: *mut f32,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let mut i = 0;
+        while i < m {
+            let r = OR.min(m - i);
+            let (ai, oi) = (a.add(i * k), o.add(i * n));
+            macro_rules! rows {
+                ($r:literal) => {
+                    if SKIP && has_zero(ai, r * k) {
+                        ordered_panels::<$r, true, PEEL, ACC>(ai, b, oi, k, n)
+                    } else {
+                        ordered_panels::<$r, false, PEEL, ACC>(ai, b, oi, k, n)
+                    }
+                };
+            }
+            match r {
+                OR => rows!(4),
+                3 => rows!(3),
+                2 => rows!(2),
+                _ => rows!(1),
+            }
+            i += r;
+        }
+    }
+
+    /// Whether any of `len` floats at `p` compares equal to `0.0`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and `len` readable floats at `p`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn has_zero(p: *const f32, len: usize) -> bool {
+        let zero = _mm256_setzero_ps();
+        let mut any = zero;
+        let mut t = 0;
+        while t + 8 <= len {
+            any = _mm256_or_ps(
+                any,
+                _mm256_cmp_ps::<_CMP_EQ_OQ>(_mm256_loadu_ps(p.add(t)), zero),
+            );
+            t += 8;
+        }
+        _mm256_movemask_ps(any) != 0 || (t..len).any(|q| *p.add(q) == 0.0)
+    }
+
+    /// One block of `R` rows across all 16-column panels (two f32x8
+    /// vectors, the last one masked on a ragged edge).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; `a` must address `R` rows of `k` floats, `b` `k`
+    /// rows and `o` `R` rows of `n` floats (both stride `n`).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn ordered_panels<
+        const R: usize,
+        const SKIP: bool,
+        const PEEL: bool,
+        const ACC: bool,
+    >(
+        a: *const f32,
+        b: *const f32,
+        o: *mut f32,
+        k: usize,
+        n: usize,
+    ) {
+        let mut j = 0;
+        while j < n {
+            let w = (n - j).min(16);
+            // lanes of the last vector that are real columns
+            let tail = w - (w - 1) / 8 * 8;
+            let mask = _mm256_cmpgt_epi32(
+                _mm256_set1_epi32(tail as i32),
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            );
+            let (bj, oj) = (b.add(j), o.add(j));
+            match (w > 8, tail == 8) {
+                (true, true) => ordered_tile::<R, 2, false, SKIP, PEEL, ACC>(a, bj, oj, k, n, mask),
+                (true, false) => ordered_tile::<R, 2, true, SKIP, PEEL, ACC>(a, bj, oj, k, n, mask),
+                (false, true) => {
+                    ordered_tile::<R, 1, false, SKIP, PEEL, ACC>(a, bj, oj, k, n, mask)
+                }
+                (false, false) => {
+                    ordered_tile::<R, 1, true, SKIP, PEEL, ACC>(a, bj, oj, k, n, mask)
+                }
+            }
+            j += w;
+        }
+    }
+
+    /// One `R`-row × `V`-vector tile of the ordered GEMM. Lane `c` of
+    /// accumulator `(r, v)` is output element `(r, 8v + c)`:
+    ///
+    /// * it starts at `+0.0`, or with `PEEL` at the first term
+    ///   (`+0.0` when that row's `a` is zero) and the loop starts at 1;
+    /// * it adds `mul(a[r,p], b[p, 8v + c])` for ascending `p`,
+    ///   skipping `a[r,p] == 0.0` when `SKIP`;
+    /// * it is stored, or with `ACC` added to the output once.
+    ///
+    /// With `MASKED`, only the lanes set in `mask` of the last vector
+    /// are loaded from `b`/`out` and stored; the others compute on
+    /// zeros and are dropped.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; `a` must address `R` rows of `k` elements (stride
+    /// `k`), `b` `k` rows and `o` `R` rows (stride `n`) of `8·V`
+    /// columns, the last vector limited to `mask`'s lanes when `MASKED`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn ordered_tile<
+        const R: usize,
+        const V: usize,
+        const MASKED: bool,
+        const SKIP: bool,
+        const PEEL: bool,
+        const ACC: bool,
+    >(
+        a: *const f32,
+        b: *const f32,
+        o: *mut f32,
+        k: usize,
+        n: usize,
+        mask: __m256i,
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        let mut start = 0;
+        if PEEL && k > 0 {
+            let bv = load_b_row::<V, MASKED>(b, mask);
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = *a.add(r * k);
+                if av != 0.0 {
+                    let va = _mm256_set1_ps(av);
+                    for (s, &x) in row.iter_mut().zip(&bv) {
+                        *s = _mm256_mul_ps(va, x);
+                    }
+                }
+            }
+            start = 1;
+        }
+        for p in start..k {
+            let bv = load_b_row::<V, MASKED>(b.add(p * n), mask);
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = *a.add(r * k + p);
+                if SKIP && av == 0.0 {
+                    continue;
+                }
+                let va = _mm256_set1_ps(av);
+                for (s, &x) in row.iter_mut().zip(&bv) {
+                    *s = _mm256_add_ps(*s, _mm256_mul_ps(va, x));
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            let orow = o.add(r * n);
+            for (v, &s) in row.iter().enumerate() {
+                let dst = orow.add(8 * v);
+                if MASKED && v == V - 1 {
+                    let s = if ACC {
+                        _mm256_add_ps(_mm256_maskload_ps(dst, mask), s)
+                    } else {
+                        s
+                    };
+                    _mm256_maskstore_ps(dst, mask, s);
+                } else {
+                    let s = if ACC {
+                        _mm256_add_ps(_mm256_loadu_ps(dst), s)
+                    } else {
+                        s
+                    };
+                    _mm256_storeu_ps(dst, s);
+                }
+            }
+        }
+    }
+
+    /// Loads `V` vectors of one `b` row, the last limited to `mask`'s
+    /// lanes when `MASKED`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and `row` addressing `8·V` readable columns (the
+    /// last vector only its `mask` lanes when `MASKED`).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load_b_row<const V: usize, const MASKED: bool>(
+        row: *const f32,
+        mask: __m256i,
+    ) -> [__m256; V] {
+        let mut bv = [_mm256_setzero_ps(); V];
+        for (v, x) in bv.iter_mut().enumerate() {
+            *x = if MASKED && v == V - 1 {
+                _mm256_maskload_ps(row.add(8 * v), mask)
+            } else {
+                _mm256_loadu_ps(row.add(8 * v))
+            };
+        }
+        bv
+    }
+
     /// AVX2 [`super::affine_act`]: one FMA per element plus a
     /// branchless activation select.
     ///
@@ -1558,6 +1889,79 @@ mod tests {
         }
     }
 
+    /// Bit patterns with every NaN folded to one pattern: Rust leaves
+    /// NaN payloads unspecified, every other bit is compared.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    fn transposed(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        (0..rows * cols)
+            .map(|e| src[(e % rows) * cols + e / rows])
+            .collect()
+    }
+
+    /// Operands for the ordered GEMM: exact zeros of both signs (so
+    /// skipped terms and `-0.0` products occur) and, when `inf` is set,
+    /// the odd infinity (so a skipped `0·inf` differs from a taken one).
+    fn ordered_operand(rng: &mut StdRng, len: usize, inf: bool) -> Vec<f32> {
+        (0..len)
+            .map(|_| match rng.gen_range(0..64) {
+                0..=5 => 0.0,
+                6..=8 => -0.0,
+                9 if inf => f32::INFINITY,
+                10 if inf => f32::NEG_INFINITY,
+                _ => rng.gen_range(-2.0f32..2.0),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The AVX2 ordered GEMM equals the scalar spec of each conv
+        /// GEMM bit for bit, in all three modes, on a NaN-poisoned
+        /// output in the overwrite modes. Vacuous on hosts without AVX2.
+        #[test]
+        fn ordered_gemm_is_bitwise_identical_to_the_scalar_specs(
+            m in 1usize..81,
+            k in 0usize..301,
+            n in 1usize..161,
+            seed in 0u64..1000,
+        ) {
+            if let Some(kern) = OrderedGemm::on(Backend::select(false)) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let inf = seed % 4 == 0;
+                let a = ordered_operand(&mut rng, m * k, false);
+                let b = ordered_operand(&mut rng, k * n, inf);
+
+                // conv_gemm: a[m,k] × b[k,n]
+                let mut want = vec![f32::NAN; m * n];
+                conv::conv_gemm_scalar(&a, &b, &mut want, m, k, n);
+                let mut got = vec![f32::NAN; m * n];
+                kern.run(Ordered::Assign, &a, &b, &mut got, m, k, n);
+                prop_assert_eq!(bits(&got), bits(&want), "Assign m={} k={} n={}", m, k, n);
+
+                // gemm_nt: a[m,k] × (b as [n,k])ᵀ onto a nonzero base
+                let base = ordered_operand(&mut rng, m * n, false);
+                let mut want = base.clone();
+                conv::gemm_nt_scalar(&a, &b, &mut want, m, k, n);
+                let mut got = base;
+                kern.run(Ordered::Accumulate, &a, &transposed(&b, n, k), &mut got, m, k, n);
+                prop_assert_eq!(bits(&got), bits(&want), "Accumulate m={} k={} n={}", m, k, n);
+
+                // gemm_tn_over: (a as [k,m])ᵀ × b[k,n]
+                let mut want = vec![f32::NAN; m * n];
+                conv::gemm_tn_scalar::<true>(&a, &b, &mut want, k, m, n);
+                let mut got = vec![f32::NAN; m * n];
+                kern.run(Ordered::AssignPeeled, &transposed(&a, k, m), &b, &mut got, m, k, n);
+                prop_assert_eq!(bits(&got), bits(&want), "AssignPeeled m={} k={} n={}", m, k, n);
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1620,7 +2024,7 @@ mod tests {
             let a = randv(&mut rng, k * m, true);
             let b = randv(&mut rng, k * n, false);
             let mut want = vec![f32::NAN; m * n];
-            conv::gemm_tn_over(&a, &b, &mut want, k, m, n);
+            conv::gemm_tn_over(&conv::TnLhs::new(&a, k, m), &b, &mut want, n);
             let mut got = vec![f32::NAN; m * n];
             gemm_tn_over(&a, &b, &mut got, k, m, n);
             assert_within_cert(&got, &want, |e| {

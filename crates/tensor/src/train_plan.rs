@@ -60,7 +60,7 @@ use crate::bnorm::{
     bn_batch_stats, bn_eval_backward, bn_eval_backward_gx_only, bn_eval_forward, bn_ivstd,
     bn_train_backward_gx, bn_train_backward_sums, bn_train_forward, BatchStats,
 };
-use crate::conv::{col2im, conv_gemm, gemm_nt, gemm_tn_over, im2col};
+use crate::conv::{col2im, conv_gemm, gemm_nt, gemm_tn_over, im2col, TnLhs};
 use crate::graph::{Graph, VarId};
 use crate::lower::{lower, ConvOp, Lowered, OpKind};
 use crate::params::{ParamId, ParamSet};
@@ -772,6 +772,8 @@ impl TrainStep<'_> {
             let cache: Option<&[f32]> = self.cols_cache[oi].as_deref();
             let need_pg = self.need_param_grads;
             let fast = self.fast;
+            // the reference grad-input GEMM's weights, prepared once per op
+            let wt = (compute_gx && !fast).then(|| TnLhs::new(wd_flat, o, ckk));
             let mut gx_tmp: Option<Vec<f32>> =
                 (compute_gx && !self.plan.gx_direct[oi]).then(|| arena::take(n * in_len));
             let gw_partials: Vec<Option<Vec<f32>>> = {
@@ -842,7 +844,8 @@ impl TrainStep<'_> {
                             if fast {
                                 simd::gemm_tn_over(wd_flat, gslice, &mut gc[..], o, ckk, howo);
                             } else {
-                                gemm_tn_over(wd_flat, gslice, &mut gc[..], o, ckk, howo);
+                                let wt = wt.as_ref().expect("weights prepared above");
+                                gemm_tn_over(wt, gslice, &mut gc[..], howo);
                             }
                             col2im(
                                 &gc[..],

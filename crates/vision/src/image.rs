@@ -294,7 +294,9 @@ impl Image {
         Image { h, w, data }
     }
 
-    /// Stacks images (all same size) into an NCHW batch tensor.
+    /// Stacks images (all same size) into an NCHW batch tensor. The
+    /// buffer is taken from the runtime arena, so a caller that recycles
+    /// the batch hands back a loan the arena counted.
     ///
     /// # Panics
     ///
@@ -302,10 +304,11 @@ impl Image {
     pub fn batch_to_tensor(images: &[Image]) -> Tensor {
         assert!(!images.is_empty(), "empty batch");
         let (h, w) = (images[0].h, images[0].w);
-        let mut data = Vec::with_capacity(images.len() * 3 * h * w);
-        for img in images {
+        let chw = 3 * h * w;
+        let mut data = rd_tensor::arena::take(images.len() * chw);
+        for (dst, img) in data.chunks_mut(chw).zip(images) {
             assert_eq!((img.h, img.w), (h, w), "batch images must share a size");
-            data.extend_from_slice(&img.data);
+            dst.copy_from_slice(&img.data);
         }
         Tensor::from_vec(data, &[images.len(), 3, h, w])
     }
